@@ -23,6 +23,8 @@ from .spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, top_eigenvector
 __all__ = ["AlignConfig", "AlignmentResult", "eigen_align", "projected_power_align"]
 
 DEFAULT_PPA_MAX_ITERS = 30
+# One shared dtype: a dtype built per call would be kept alive by every log.
+_TRAJECTORY_DTYPE = np.dtype([("objective", np.float64), ("changed", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,11 @@ class AlignmentResult:
     matched_edges: int
     iterations: int
     converged: bool
-    trajectory: list[tuple[float, int]] | None = field(default=None)
-    """Per-iterate (objective, vertices changed vs previous iterate) log;
-    populated by the projected-power pipeline."""
+    trajectory: np.ndarray | None = field(default=None, compare=False)
+    """Per-iterate log of the projected-power pipeline, a read-only
+    structured array with fields `objective` (y^T A y of the iterate) and
+    `changed` (vertices reassigned vs the previous iterate); left out of
+    `==`."""
 
 
 def build_operator(g1: Graph, g2: Graph, epsilon: float = DEFAULT_EPSILON) -> AlignmentOperator:
@@ -64,12 +68,11 @@ def eigen_align(g1: Graph, g2: Graph, cfg: AlignConfig = AlignConfig()) -> Align
     eig = top_eigenvector(op, tol=cfg.eigen_tol, max_iters=cfg.eigen_max_iters)
     scores = eig.vector.reshape(op.n, op.n)
     perm = max_weight_matching(scores)
-    y = permutation_vector(op.n, perm)
-    objective = float(y @ op.apply(y))
+    matched = matched_edges(g1, g2, perm)
     return AlignmentResult(
         permutation=perm,
-        objective=objective,
-        matched_edges=matched_edges(g1, g2, perm),
+        objective=op.matched_objective(matched),
+        matched_edges=matched,
         iterations=eig.iterations,
         converged=eig.converged,
     )
@@ -81,19 +84,24 @@ def projected_power_align(g1: Graph, g2: Graph,
 
     The start vector v0 is the dominant eigenvector; the first multiply uses
     v0 itself, every later multiply uses the 0/1 vectorization of the current
-    permutation iterate. Terminates at a fixed point of the projected step or
-    after `ppa_max_iters` iterations (flagged, not an error).
+    permutation iterate (`AlignmentOperator.permutation_product`).
+    Terminates at a fixed point of the projected step or after
+    `ppa_max_iters` iterations (flagged, not an error).
     """
     op = build_operator(g1, g2, cfg.epsilon)
     n = op.n
+
+    def step(perm: Permutation) -> tuple[np.ndarray, float]:
+        w = op.permutation_product(perm)
+        return w, float(permutation_vector(n, perm) @ w.reshape(-1))
+
     eig = top_eigenvector(op, tol=cfg.eigen_tol, max_iters=cfg.eigen_max_iters)
     v0 = eig.vector
 
     # Direct rounding of the start vector: candidate permutation only, it does
     # not seed the iteration.
     pi0 = greedy_round(v0.reshape(n, n))
-    y0 = permutation_vector(n, pi0)
-    obj0 = float(y0 @ op.apply(y0))
+    _, obj0 = step(pi0)
     best_perm, best_obj = pi0, obj0
     trajectory: list[tuple[float, int]] = [(obj0, 0)]
 
@@ -103,16 +111,14 @@ def projected_power_align(g1: Graph, g2: Graph,
     converged = False
     last_obj = None
     while True:
-        y = permutation_vector(n, current)
-        w = op.apply(y)
-        obj = float(y @ w)
+        w, obj = step(current)
         last_obj = obj
         trajectory.append((obj, int(np.count_nonzero(current.map != previous.map))))
         if obj > best_obj:
             best_perm, best_obj = current, obj
         if iterations >= cfg.ppa_max_iters:
             break
-        nxt = greedy_round(w.reshape(n, n))
+        nxt = greedy_round(w)
         iterations += 1
         if nxt == current:
             converged = True
@@ -121,6 +127,8 @@ def projected_power_align(g1: Graph, g2: Graph,
         previous = current
         current = nxt
 
+    log = np.array(trajectory, dtype=_TRAJECTORY_DTYPE)
+    log.flags.writeable = False
     if cfg.return_best:
         perm, objective = best_perm, best_obj
     else:
@@ -131,5 +139,5 @@ def projected_power_align(g1: Graph, g2: Graph,
         matched_edges=matched_edges(g1, g2, perm),
         iterations=iterations,
         converged=converged,
-        trajectory=trajectory,
+        trajectory=log,
     )

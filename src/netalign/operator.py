@@ -8,18 +8,24 @@ materialized: the product reduces to sparse congruence and rank-one terms,
 
     U = (s1 + s2 - 2 s3) * G1 V G2 + (s3 - s2) * (G1 V J + J V G2) + s2 * J V J,
 
-costing O(n * (e1 + e2) + n^2) per apply. `dense_matrix` builds the full
-n² x n² matrix entry by entry from the scoring rule alone and exists purely
-as a verification oracle for small n.
+costing O(n * (e1 + e2) + n^2) per apply. For the 0/1 vectorization of a
+permutation pi, G1 V G2 = G1 @ G2[pi] and the row and column sums of V are
+all ones, so `permutation_product` needs one sparse-dense product with an
+integer-valued result. The objective y^T A y of a permutation has a closed
+form in its matched-edge count (`matched_objective`, `quadratic_form`).
+`dense_alignment_matrix` builds the full n² x n² matrix entry by entry from
+the scoring rule alone and exists purely as a verification oracle for small
+n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, Permutation
+from .graphs import Graph, Permutation, matched_edges
 
 __all__ = [
     "ScoringParams",
@@ -93,8 +99,8 @@ def compute_alpha(g1: Graph, g2: Graph) -> float:
 class AlignmentOperator:
     """Matrix-free symmetric positive operator on length-n² vectors.
 
-    Immutable after construction; `apply` is a pure function and safe to call
-    concurrently.
+    Immutable after construction; `apply` and `permutation_product` are pure
+    functions and safe to call concurrently.
     """
 
     def __init__(self, g1: Graph, g2: Graph, params: ScoringParams):
@@ -111,6 +117,17 @@ class AlignmentOperator:
         self._k_quad = p.s1 + p.s2 - 2.0 * p.s3
         self._k_lin = p.s3 - p.s2
 
+    # Built on first use, so only `permutation_product` callers pay for them.
+    @cached_property
+    def _dense2(self) -> np.ndarray:
+        return self.g2.adjacency.astype(np.float64)
+
+    @cached_property
+    def _degree_term(self) -> np.ndarray:
+        deg1 = self.g1.degree_sequence().astype(np.float64)
+        deg2 = self.g2.degree_sequence().astype(np.float64)
+        return self._k_lin * (deg1[:, None] + deg2[None, :])
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Operator-vector product without materializing the matrix."""
         v = np.asarray(v, dtype=np.float64)
@@ -118,8 +135,10 @@ class AlignmentOperator:
             raise ValueError(f"vector must have length {self.dim}, got shape {v.shape}")
         n = self.n
         V = v.reshape(n, n)
-        # Quadratic term: G1 V G2 via two sparse-dense products.
-        U = self._k_quad * ((self._a1 @ V) @ self._a2)
+        # Quadratic term: G1 V G2 via two sparse-dense products; V G2 is taken
+        # as (G2 (G1 V)^T)^T since G2 is symmetric, which adds the same terms
+        # in the same order without scipy transposing G2 on every call.
+        U = self._k_quad * (self._a2 @ (self._a1 @ V).T).T
         # Rank-one corrections: G1 V J has constant rows G1 @ rowsums(V),
         # J V G2 constant columns G2 @ colsums(V) (G2 symmetric).
         row = self._a1 @ V.sum(axis=1)
@@ -128,16 +147,37 @@ class AlignmentOperator:
         U += self.params.s2 * V.sum()
         return U.reshape(self.dim)
 
+    def permutation_product(self, perm: Permutation) -> np.ndarray:
+        """`apply(permutation_vector(n, perm))` as an n x n matrix, bit for bit.
+
+        G1 V G2 = G1 @ G2[perm] holds integer counts, so one sparse-dense
+        product gives exactly what `apply` computes in two; the degree and
+        constant terms then follow in `apply`'s order of operations.
+        """
+        if len(perm) != self.n:
+            raise ValueError(f"permutation length {len(perm)} != operator size {self.n}")
+        U = self._k_quad * (self._a1 @ self._dense2[perm.map])
+        U += self._degree_term
+        U += self.params.s2 * float(self.n)
+        return U
+
+    def matched_objective(self, matched: int) -> float:
+        """y^T A y of any permutation that matches `matched` edges.
+
+        Of the n² entries of A that y selects, 2M are edge matches,
+        2e1 + 2e2 - 4M are mismatches and the rest are non-edge matches, so
+        the value is strictly increasing in M = `matched` (s1 + s2 > 2 s3).
+        """
+        e1, e2 = self.g1.edge_count, self.g2.edge_count
+        p = self.params
+        return (p.s1 * (2 * matched) + p.s3 * (2 * e1 + 2 * e2 - 4 * matched)
+                + p.s2 * (self.dim - 2 * e1 - 2 * e2 + 2 * matched))
+
 
 def quadratic_form(op: AlignmentOperator, perm: Permutation) -> float:
-    """y^T A y for the 0/1 vectorization y of the permutation matrix.
-
-    Computed with a single operator apply and a dot product.
-    """
-    if len(perm) != op.n:
-        raise ValueError(f"permutation length {len(perm)} != operator size {op.n}")
-    y = permutation_vector(op.n, perm)
-    return float(y @ op.apply(y))
+    """y^T A y for the 0/1 vectorization y of the permutation matrix, from
+    its matched-edge count (`AlignmentOperator.matched_objective`)."""
+    return op.matched_objective(matched_edges(op.g1, op.g2, perm))
 
 
 def permutation_vector(n: int, perm: Permutation) -> np.ndarray:

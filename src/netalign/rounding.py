@@ -39,26 +39,25 @@ def greedy_round(scores: np.ndarray) -> Permutation:
     columns, assign that pair, strike its row and column, repeat n times.
 
     Ties break toward the smallest linear index i*n + j, so the projection is
-    deterministic.
+    deterministic. One stable argsort orders all n² entries; a single scan
+    over that order, on Python lists rather than per-element numpy indexing,
+    then takes each entry whose row and column are both still free.
     """
     s = _check_scores(scores)
     n = s.shape[0]
-    flat = s.reshape(-1)
     # Stable sort on the negated values keeps equal entries in increasing
     # linear-index order, which implements the tie-break.
-    order = np.argsort(-flat, kind="stable")
-    row_used = np.zeros(n, dtype=bool)
-    col_used = np.zeros(n, dtype=bool)
-    mapping = np.full(n, -1, dtype=np.int64)
+    order = np.argsort(-s.reshape(-1), kind="stable")
+    rows, cols = np.divmod(order, n)
+    row_free = [True] * n
+    col_free = [True] * n
+    mapping = [0] * n
     assigned = 0
-    for idx in order:
-        i, j = divmod(int(idx), n)
-        if row_used[i] or col_used[j]:
-            continue
-        mapping[i] = j
-        row_used[i] = True
-        col_used[j] = True
-        assigned += 1
-        if assigned == n:
-            break
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if row_free[i] and col_free[j]:
+            mapping[i] = j
+            row_free[i] = col_free[j] = False
+            assigned += 1
+            if assigned == n:
+                break
     return Permutation(mapping)

@@ -146,6 +146,15 @@ class TestConfigAndTrajectory:
         assert len(result.trajectory) == result.iterations + 1
         assert result.trajectory[-1][1] == 0  # confirming step changes nothing
 
+    def test_ppa_trajectory_is_read_only_record_array(self):
+        g1 = generate_er(12, 0.3, RngSeed(633, 1))
+        g2 = generate_er(12, 0.3, RngSeed(633, 2))
+        result = projected_power_align(g1, g2)
+        log = result.trajectory
+        assert log.dtype.names == ("objective", "changed")
+        assert not log.flags.writeable
+        assert result.objective == log["objective"].max()  # best iterate reported
+
     def test_iteration_cap_respected(self):
         g1 = generate_er(14, 0.3, RngSeed(631, 1))
         g2 = generate_er(14, 0.3, RngSeed(631, 2))

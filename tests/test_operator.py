@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from netalign.graphs import Graph, Permutation, RngSeed, generate_er, random_permutation
+from netalign.graphs import (Graph, Permutation, RngSeed, generate_er, matched_edges,
+                             random_permutation)
 from netalign.operator import (AlignmentOperator, DegenerateBalanceError,
                                ScoringParams, compute_alpha,
                                dense_alignment_matrix, make_params,
@@ -209,6 +214,51 @@ class TestApply:
             np.testing.assert_allclose(dense, rebuilt, rtol=0, atol=1e-12)
 
 
+def complete_graph(n):
+    return Graph(~np.eye(n, dtype=bool))
+
+
+@st.composite
+def graph_pair_and_permutation(draw):
+    """A non-degenerate pair on 2..12 vertices, with empty and complete
+    graphs drawn often, plus a permutation."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+
+    def graph(stream):
+        kind = draw(st.sampled_from(("er", "er", "empty", "complete")))
+        if kind == "empty":
+            return empty_graph(n)
+        if kind == "complete":
+            return complete_graph(n)
+        return generate_er(n, draw(st.sampled_from((0.1, 0.3, 0.6))), RngSeed(seed, stream))
+
+    g1, g2 = graph(1), graph(2)
+    if g1.edge_count == 0 and g2.edge_count == 0:
+        g2 = complete_graph(n)
+    return g1, g2, random_permutation(n, RngSeed(seed, 3))
+
+
+class TestPermutationProduct:
+    @given(graph_pair_and_permutation())
+    @example((empty_graph(2), complete_graph(2), Permutation([1, 0])))
+    @example((empty_graph(5), complete_graph(5), Permutation([3, 0, 4, 1, 2])))
+    @example((complete_graph(4), empty_graph(4), Permutation([2, 0, 3, 1])))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_apply(self, case):
+        g1, g2, sigma = case
+        op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
+        n = op.n
+        expected = op.apply(permutation_vector(n, sigma)).reshape(n, n)
+        assert np.array_equal(op.permutation_product(sigma), expected)
+
+    def test_size_mismatch(self):
+        g1, g2 = random_pair(4, 94)
+        op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
+        with pytest.raises(ValueError):
+            op.permutation_product(Permutation.identity(5))
+
+
 class TestQuadraticForm:
     def test_empty_pair_value(self):
         params = make_params(1.0)
@@ -235,6 +285,25 @@ class TestQuadraticForm:
             got = quadratic_form(op, sigma)
             expected = oracles.quadratic_objective(dense, 5, sigma.map)
             assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n,seed,p", [(2, 95, 0.5), (3, 96, 0.5), (4, 97, 0.5),
+                                          (5, 98, 0.4), (6, 99, 0.3)])
+    def test_every_permutation_against_dense(self, n, seed, p):
+        g1, g2 = random_pair(n, seed, p)
+        params = make_params(compute_alpha(g1, g2))
+        op = AlignmentOperator(g1, g2, params)
+        dense = dense_alignment_matrix(g1, g2, params)
+        by_matched = {}
+        for mapping in itertools.permutations(range(n)):
+            sigma = Permutation(mapping)
+            got = quadratic_form(op, sigma)
+            expected = oracles.quadratic_objective(dense, n, sigma.map)
+            assert got == pytest.approx(expected, rel=1e-12)
+            by_matched.setdefault(matched_edges(g1, g2, sigma), set()).add(got)
+        # One value per matched-edge count, strictly increasing in it.
+        assert all(len(values) == 1 for values in by_matched.values())
+        values = [by_matched[m].pop() for m in sorted(by_matched)]
+        assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_size_mismatch(self):
         g1, g2 = random_pair(4, 93)
