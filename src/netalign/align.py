@@ -10,6 +10,7 @@ including the direct greedy rounding of the start vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,10 @@ class AlignConfig:
     return_best: bool = True
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        for name in ("epsilon", "eigen_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.eigen_max_iters < 1 or self.ppa_max_iters < 1:
             raise ValueError("iteration caps must be at least 1")
 

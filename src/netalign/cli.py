@@ -105,15 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    for lam in args.lambdas:
-        if not (0.0 <= lam <= 1.0):
-            print(f"error: --lambda values must lie in [0, 1], got {lam}", file=sys.stderr)
-            return 2
-    if not (0.0 <= args.p <= 1.0):
-        print(f"error: --p must lie in [0, 1], got {args.p}", file=sys.stderr)
-        return 2
-    if args.trials < 1 or args.workers < 1:
-        print("error: --trials and --workers must be positive", file=sys.stderr)
+    if args.workers < 1:
+        print("error: --workers must be positive", file=sys.stderr)
         return 2
     algorithms = ALGORITHMS if args.algo == "both" else (args.algo,)
     try:

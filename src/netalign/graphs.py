@@ -137,7 +137,13 @@ class Graph:
     def csr(self) -> sp.csr_array:
         """Float64 CSR view (sorted neighbor lists) for sparse products."""
         if self._csr is None:
-            self._csr = sp.csr_array(self._adj.astype(np.float64))
+            # The same arrays and dtypes as csr_array(adj.astype(float64)),
+            # read off the flat nonzero positions without a dense float copy.
+            n = self.n
+            flat = np.flatnonzero(self._adj)
+            indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(np.int32)
+            indices = (flat % n).astype(np.int32)
+            self._csr = sp.csr_array((np.ones(flat.size), indices, indptr), shape=(n, n))
         return self._csr
 
     def degree_sequence(self) -> np.ndarray:
@@ -161,14 +167,15 @@ class Permutation:
     __slots__ = ("_map",)
 
     def __init__(self, mapping: Iterable[int]):
-        arr = np.asarray(list(mapping) if not isinstance(mapping, np.ndarray) else mapping,
-                         dtype=np.int64)
+        arr = np.asarray(mapping if isinstance(mapping, np.ndarray) else list(mapping))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("permutation must be a non-empty 1-D sequence")
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"permutation entries must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64)
         n = arr.size
         if not np.array_equal(np.sort(arr), np.arange(n)):
             raise ValueError("not a bijection on 0..n-1")
-        arr = arr.copy()
         arr.flags.writeable = False
         self._map = arr
 
@@ -216,16 +223,22 @@ def _check_probability(value: float, name: str) -> float:
     return value
 
 
+def _upper_mask(n: int) -> np.ndarray:
+    """Boolean mask of the strict upper triangle. Boolean indexing visits it
+    in row-major order, the order of np.triu_indices(n, k=1), so each pair
+    {i<j} takes the same position in a stream of draws."""
+    idx = np.arange(n)
+    return idx[:, None] < idx
+
+
 def generate_er(n: int, p: float, seed: RngSeed | int) -> Graph:
     """Erdős–Rényi G(n, p): each unordered pair is an edge with probability p."""
     if n < 1:
         raise ValueError("n must be at least 1")
     p = _check_probability(p, "p")
     rng = as_seed(seed).generator()
-    iu, ju = np.triu_indices(n, k=1)
-    draws = rng.random(iu.size) < p
     adj = np.zeros((n, n), dtype=bool)
-    adj[iu, ju] = draws
+    adj[_upper_mask(n)] = rng.random(n * (n - 1) // 2) < p
     adj |= adj.T
     return Graph(adj)
 
@@ -239,12 +252,10 @@ def apply_noise(g: Graph, lam: float, seed: RngSeed | int) -> Graph:
     lam = _check_probability(lam, "lambda")
     rng = as_seed(seed).generator()
     n = g.n
-    iu, ju = np.triu_indices(n, k=1)
-    flips = rng.random(iu.size) < lam
-    adj = np.array(g.adjacency)
-    adj[iu, ju] ^= flips
-    adj[ju, iu] = adj[iu, ju]
-    return Graph(adj)
+    flips = np.zeros((n, n), dtype=bool)
+    flips[_upper_mask(n)] = rng.random(n * (n - 1) // 2) < lam
+    flips |= flips.T
+    return Graph(g.adjacency ^ flips)
 
 
 def permute(g: Graph, perm: Permutation) -> Graph:

@@ -94,6 +94,21 @@ def derive_stream(base_seed: int, n: int, p: float, lam: float,
     return RngSeed(base_seed=base_seed, stream_id=stream)
 
 
+def _check_ranges(n_list: Sequence[int], p: float, lambda_list: Sequence[float],
+                  base_seed: int) -> None:
+    """Range checks shared by one trial and a whole grid of them."""
+    for n in n_list:
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    for lam in lambda_list:
+        if not (0.0 <= lam <= 1.0):
+            raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    if not (0 <= base_seed <= _MASK64):
+        raise ValueError("base_seed must be an unsigned 64-bit integer")
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     n: int
@@ -107,14 +122,7 @@ class TrialSpec:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
-        if not (0 <= self.base_seed <= _MASK64):
-            raise ValueError("base_seed must be an unsigned 64-bit integer")
+        _check_ranges((self.n,), self.p, (self.lam,), self.base_seed)
 
 
 @dataclass(frozen=True)
@@ -212,8 +220,7 @@ class GridSpec:
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad or not self.algorithms:
             raise ValueError(f"algorithms must be a non-empty subset of {ALGORITHMS}")
-        if not (0 <= self.base_seed <= _MASK64):
-            raise ValueError("base_seed must be an unsigned 64-bit integer")
+        _check_ranges(self.n_list, self.p, self.lambda_list, self.base_seed)
 
     def specs(self) -> list[TrialSpec]:
         return [

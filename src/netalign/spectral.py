@@ -8,6 +8,7 @@ spectral shift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ class EigenResult:
     converged: bool          # False when the iteration cap was hit
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float64 vector; the same dot product and
+    square root np.linalg.norm computes, without its dispatch overhead."""
+    return math.sqrt(x @ x)
+
+
 def top_eigenvector(op: AlignmentOperator,
                     tol: float = DEFAULT_TOL,
                     max_iters: int = DEFAULT_MAX_ITERS,
@@ -41,7 +48,7 @@ def top_eigenvector(op: AlignmentOperator,
     start is the uniform positive vector, which has nonzero overlap with the
     dominant eigenvector.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
@@ -60,17 +67,17 @@ def top_eigenvector(op: AlignmentOperator,
     def stats(vec):
         w = op.apply(vec)
         rayleigh = float(vec @ w)
-        return w, rayleigh, float(np.linalg.norm(w - rayleigh * vec))
+        return w, rayleigh, _norm(w - rayleigh * vec)
 
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         w, value, residual = stats(v)
-        w_norm = np.linalg.norm(w)
+        w_norm = _norm(w)
         if w_norm == 0:
             raise ValueError("operator annihilated the iterate; cannot normalize")
         v_next = w / w_norm
-        diff = float(np.linalg.norm(v_next - v))
+        diff = _norm(v_next - v)
         if residual < tol:
             converged = True
             break

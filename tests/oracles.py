@@ -7,6 +7,7 @@ enumeration, dense linear algebra. Nothing imports the code paths it checks.
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def count_matched_edges_loop(adj1, adj2, mapping):
@@ -86,3 +87,63 @@ def greedy_round_by_hand(scores):
         taken_rows.add(i)
         taken_cols.add(j)
     return np.array([mapping[i] for i in range(n)])
+
+
+# Earlier versions of the planted-trial path, kept as bit-for-bit references
+# for the faster code that replaced them.
+
+def csr_via_dense(adj):
+    """Float64 CSR view built through a dense float copy and scipy's COO path."""
+    return sp.csr_array(adj.astype(np.float64))
+
+
+def er_adjacency_triu(n, p, rng):
+    """G(n, p) adjacency drawing the strict upper triangle via np.triu_indices."""
+    iu, ju = np.triu_indices(n, k=1)
+    draws = rng.random(iu.size) < p
+    adj = np.zeros((n, n), dtype=bool)
+    adj[iu, ju] = draws
+    adj |= adj.T
+    return adj
+
+
+def noisy_adjacency_triu(adj, lam, rng):
+    """Flip each unordered pair with probability lam, indexed via np.triu_indices."""
+    n = adj.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    flips = rng.random(iu.size) < lam
+    adj = np.array(adj)
+    adj[iu, ju] ^= flips
+    adj[ju, iu] = adj[iu, ju]
+    return adj
+
+
+def power_iteration_linalg_norm(apply, n, tol, max_iters):
+    """Power iteration from the uniform start with np.linalg.norm throughout.
+
+    Returns (vector, value, iterations, residual, converged).
+    """
+    v = np.full(n * n, 1.0 / n)
+
+    def stats(vec):
+        w = apply(vec)
+        rayleigh = float(vec @ w)
+        return w, rayleigh, float(np.linalg.norm(w - rayleigh * vec))
+
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        w, value, residual = stats(v)
+        v_next = w / np.linalg.norm(w)
+        diff = float(np.linalg.norm(v_next - v))
+        if residual < tol:
+            converged = True
+            break
+        v = v_next
+        if diff < tol:
+            _, value, residual = stats(v)
+            converged = True
+            break
+    else:
+        _, value, residual = stats(v)
+    return np.maximum(v, 0.0), value, iterations, residual, converged

@@ -130,6 +130,12 @@ class TestConfigAndTrajectory:
         with pytest.raises(ValueError):
             AlignConfig(eigen_max_iters=0)
 
+    @pytest.mark.parametrize("name", ["epsilon", "eigen_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
+    def test_tolerances_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            AlignConfig(**{name: value})
+
     def test_ppa_trajectory_logged(self):
         g1 = generate_er(10, 0.3, RngSeed(630, 1))
         g2 = generate_er(10, 0.3, RngSeed(630, 2))

@@ -100,6 +100,26 @@ class TestSweep:
         assert code == 2
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", "0"], "n must be at least 1"),
+        (["--n", "5,0"], "n must be at least 1"),
+        (["--p", "1.5"], "p must lie"),
+        (["--lambda", "0,nan"], "lambda"),
+        (["--trials", "0"], "trials"),
+        (["--eigen-tol", "nan"], "eigen_tol"),
+        (["--eigen-tol", "0"], "eigen_tol"),
+        (["--epsilon", "nan"], "epsilon"),
+        (["--epsilon", "inf"], "epsilon"),
+    ])
+    def test_bad_grid_or_config_exits_2(self, tmp_path, capsys, flags, message):
+        csv_path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["sweep", "--n", "5", "--lambda", "0", "--trials", "1",
+             "--csv", str(csv_path)] + flags, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert not csv_path.exists()
+
     def test_unwritable_csv_path(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["sweep", "--n", "5", "--lambda", "0", "--trials", "1",
@@ -154,6 +174,14 @@ class TestMatch:
         code, _, err = run_cli(["match", "--g1", str(bad), "--g2", str(bad)], capsys)
         assert code == 1
         assert "bad.txt" in err and "self-loop" in err
+
+    @pytest.mark.parametrize("flag,value", [("--eigen-tol", "nan"), ("--epsilon", "inf")])
+    def test_bad_config_exits_2(self, tmp_path, capsys, flag, value):
+        path = self.write_path3(tmp_path, "p3.txt")
+        code, out, err = run_cli(["match", "--g1", str(path), "--g2", str(path),
+                                  flag, value], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
 
     def test_missing_file(self, tmp_path, capsys):
         g = self.write_path3(tmp_path, "g.txt")

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netalign.graphs import (Graph, Permutation, RngSeed, apply_noise,
@@ -53,6 +53,22 @@ class TestPermutationType:
         with pytest.raises(ValueError, match="bijection"):
             Permutation([0, 0, 2])
 
+    def test_rejects_non_integral_entries(self):
+        # Truncation would silently turn [0.7, 1.2] into the identity.
+        for mapping in (np.array([0.7, 1.2]), [0.0, 1.0], [1, 0.5], np.array([np.nan, 0.0])):
+            with pytest.raises(ValueError, match="integers"):
+                Permutation(mapping)
+        with pytest.raises(ValueError, match="non-empty"):
+            Permutation([])
+
+    def test_integer_dtypes_accepted_and_copied(self):
+        source = np.array([2, 0, 1], dtype=np.uint8)
+        sigma = Permutation(source)
+        source[0] = 0
+        assert sigma.map.dtype == np.int64
+        assert sigma.map.tolist() == [2, 0, 1]
+        assert not sigma.map.flags.writeable
+
     def test_inverse_and_compose(self):
         sigma = Permutation([2, 0, 1])
         assert sigma.compose(sigma.inverse()) == Permutation.identity(3)
@@ -61,6 +77,70 @@ class TestPermutationType:
     def test_call(self):
         sigma = Permutation([1, 2, 0])
         assert [sigma(i) for i in range(3)] == [1, 2, 0]
+
+
+@st.composite
+def adjacency(draw):
+    """Symmetric hollow boolean matrices on 1..12 vertices; edgeless and
+    complete graphs are drawn often."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(st.sampled_from(("random", "random", "edgeless", "complete")))
+    if kind == "edgeless":
+        return np.zeros((n, n), dtype=bool)
+    if kind == "complete":
+        return ~np.eye(n, dtype=bool)
+    bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.triu_indices(n, k=1)] = bits
+    return adj | adj.T
+
+
+class TestCsrView:
+    @given(adjacency())
+    @example(np.zeros((1, 1), dtype=bool))
+    @example(np.zeros((5, 5), dtype=bool))
+    @example(~np.eye(6, dtype=bool))
+    @example(np.array(generate_er(600, 0.0125, RngSeed(17)).adjacency))
+    @settings(max_examples=150, deadline=None)
+    def test_same_arrays_as_dense_conversion(self, adj):
+        got = Graph(adj).csr()
+        ref = oracles.csr_via_dense(adj)
+        assert type(got) is type(ref)
+        assert got.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            mine, theirs = getattr(got, name), getattr(ref, name)
+            assert mine.dtype == theirs.dtype, name
+            assert np.array_equal(mine, theirs), name
+        assert got.has_sorted_indices == ref.has_sorted_indices
+        assert got.has_canonical_format == ref.has_canonical_format
+
+
+class TestDrawOrder:
+    """The mask-drawn generators consume the random stream pair by pair in
+    the order of np.triu_indices, so they reproduce its graphs exactly."""
+
+    SIZES = list(range(1, 61)) + [600]
+
+    def test_generate_er_matches_triu_draws(self):
+        for n in self.SIZES:
+            for p in (0.0, 0.0125, 0.2, 1.0):
+                for seed in (0, 1, 2):
+                    stream = RngSeed(seed, n)
+                    expected = oracles.er_adjacency_triu(n, p, stream.generator())
+                    assert np.array_equal(generate_er(n, p, stream).adjacency, expected), \
+                        (n, p, seed)
+
+    def test_apply_noise_matches_triu_flips(self):
+        for n in self.SIZES:
+            for seed in (0, 1, 2):
+                g = generate_er(n, 0.2, RngSeed(seed, n))
+                for lam in (0.0, 0.05, 0.5, 1.0):
+                    stream = RngSeed(seed, 1000 + n)
+                    expected = oracles.noisy_adjacency_triu(
+                        np.array(g.adjacency), lam, stream.generator())
+                    assert np.array_equal(apply_noise(g, lam, stream).adjacency, expected), \
+                        (n, lam, seed)
 
 
 class TestRngSeed:

@@ -174,6 +174,18 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             GridSpec(n_list=(5,), lambda_list=(0.1,), p=0.2, algorithms=("x",))
 
+    def test_grid_ranges_checked_up_front(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            GridSpec(n_list=(0,), lambda_list=(0.1,), p=0.2)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            GridSpec(n_list=(5, -3), lambda_list=(0.1,), p=0.2)
+        for p in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="p must lie"):
+                GridSpec(n_list=(5,), lambda_list=(0.1,), p=p)
+        for lam in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="lambda must lie"):
+                GridSpec(n_list=(5,), lambda_list=(0.0, lam), p=0.2)
+
 
 class TestSummarize:
     def _record(self, **overrides):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from netalign.graphs import Graph, RngSeed, generate_er
+from netalign.graphs import (Graph, RngSeed, apply_noise, generate_er, permute,
+                             random_permutation)
 from netalign.operator import (AlignmentOperator, DegenerateBalanceError,
                                compute_alpha, dense_alignment_matrix, make_params)
-from netalign.spectral import top_eigenvector
+from netalign.spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, top_eigenvector
+
+import oracles
 
 
 def empty_pair_operator(n):
@@ -118,11 +121,48 @@ class TestIterationContract:
         assert recomputed == pytest.approx(res.residual, rel=1e-6, abs=1e-12)
 
 
+def planted_operator(n, p, lam, seed):
+    g1 = generate_er(n, p, RngSeed(seed, 1))
+    g2 = permute(apply_noise(g1, lam, RngSeed(seed, 2)), random_permutation(n, RngSeed(seed, 3)))
+    return AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
+
+
+class TestAgainstEarlierImplementation:
+    """Norms taken as sqrt(x @ x) give np.linalg.norm's results bit for bit."""
+
+    @pytest.mark.parametrize("n,p,lam,seed,tol,max_iters", [
+        (10, 0.2, 0.05, 700, DEFAULT_TOL, DEFAULT_MAX_ITERS),
+        (30, 0.2, 0.0, 701, DEFAULT_TOL, DEFAULT_MAX_ITERS),
+        (25, 0.3, 0.2, 702, 1e-13, 50),
+        (6, 0.5, 0.1, 703, 1e-15, 3),
+        (600, 0.0125, 0.001, 704, DEFAULT_TOL, DEFAULT_MAX_ITERS),
+    ])
+    def test_identical_result(self, n, p, lam, seed, tol, max_iters):
+        self.check(planted_operator(n, p, lam, seed), tol, max_iters)
+
+    def test_identical_on_residual_exit(self):
+        self.check(empty_pair_operator(4), DEFAULT_TOL, DEFAULT_MAX_ITERS)
+
+    @staticmethod
+    def check(op, tol, max_iters):
+        res = top_eigenvector(op, tol=tol, max_iters=max_iters)
+        vector, value, iterations, residual, converged = \
+            oracles.power_iteration_linalg_norm(op.apply, op.n, tol, max_iters)
+        assert res.vector.tobytes() == vector.tobytes()
+        assert (res.value, res.iterations, res.residual, res.converged) == \
+            (value, iterations, residual, converged)
+
+
 class TestValidation:
     def test_rejects_bad_tol(self):
         op = empty_pair_operator(3)
         with pytest.raises(ValueError):
             top_eigenvector(op, tol=0.0)
+
+    def test_rejects_nan_tol(self):
+        # NaN compares false with everything, so it would run to the cap.
+        with pytest.raises(ValueError, match="tol"):
+            top_eigenvector(empty_pair_operator(3), tol=float("nan"))
 
     def test_rejects_bad_cap(self):
         op = empty_pair_operator(3)
