@@ -6,6 +6,12 @@ eigenvector and then alternates operator multiplication with the greedy
 projection onto permutations until it reaches a fixed point or the iteration
 cap; with `return_best` it reports the best-scoring permutation seen,
 including the direct greedy rounding of the start vector.
+
+The projected step is a deterministic map on permutations, so once an iterate
+repeats an earlier one the rest of the run is a known cycle. PPA then stops
+computing and replays the cycle up to the cap: the result (permutation,
+objective, trajectory) is exactly what the capped loop would report, and
+`iterations` and `converged` keep their meaning (the cap, False).
 """
 
 from __future__ import annotations
@@ -89,7 +95,8 @@ def projected_power_align(g1: Graph, g2: Graph,
     v0 itself, every later multiply uses the 0/1 vectorization of the current
     permutation iterate (`AlignmentOperator.permutation_product`).
     Terminates at a fixed point of the projected step or after
-    `ppa_max_iters` iterations (flagged, not an error).
+    `ppa_max_iters` iterations (flagged, not an error); a cycle of period two
+    or more is replayed to the cap without further products or projections.
     """
     op = build_operator(g1, g2, cfg.epsilon)
     n = op.n
@@ -100,6 +107,7 @@ def projected_power_align(g1: Graph, g2: Graph,
 
     eig = top_eigenvector(op, tol=cfg.eigen_tol, max_iters=cfg.eigen_max_iters)
     v0 = eig.vector
+    cap = cfg.ppa_max_iters
 
     # Direct rounding of the start vector: candidate permutation only, it does
     # not seed the iteration.
@@ -107,27 +115,38 @@ def projected_power_align(g1: Graph, g2: Graph,
     _, obj0 = step(pi0)
     best_perm, best_obj = pi0, obj0
     trajectory: list[tuple[float, int]] = [(obj0, 0)]
+    iterates = [pi0]                 # iterates[k] is the permutation of entry k
+    seen: dict[bytes, int] = {}      # iterate of the projected map -> its index
 
     current = greedy_round(op.apply(v0).reshape(n, n))
-    iterations = 1
-    previous = pi0
     converged = False
-    last_obj = None
     while True:
+        k = len(iterates)
         w, obj = step(current)
-        last_obj = obj
-        trajectory.append((obj, int(np.count_nonzero(current.map != previous.map))))
+        trajectory.append((obj, int(np.count_nonzero(current.map != iterates[-1].map))))
+        iterates.append(current)
+        seen[current.map.tobytes()] = k
         if obj > best_obj:
             best_perm, best_obj = current, obj
-        if iterations >= cfg.ppa_max_iters:
+        if k >= cap:
             break
         nxt = greedy_round(w)
-        iterations += 1
-        if nxt == current:
+        s = seen.get(nxt.map.tobytes())
+        if s == k:
             converged = True
             trajectory.append((obj, 0))  # confirming step reproduces the iterate
             break
-        previous = current
+        if s is not None:
+            # Iterate k+1 repeats iterate s, so iterates s..k recur with period
+            # k+1-s up to the cap. Every one of them has been scored, and the
+            # strict `>` keeps the best unchanged, so replay the log instead.
+            period = k + 1 - s
+            trajectory.append((trajectory[s][0],
+                               int(np.count_nonzero(nxt.map != current.map))))
+            for j in range(k + 2, cap + 1):
+                trajectory.append(trajectory[j - period])
+            current = iterates[s + (cap - s) % period]
+            break
         current = nxt
 
     log = np.array(trajectory, dtype=_TRAJECTORY_DTYPE)
@@ -135,12 +154,12 @@ def projected_power_align(g1: Graph, g2: Graph,
     if cfg.return_best:
         perm, objective = best_perm, best_obj
     else:
-        perm, objective = current, last_obj
+        perm, objective = current, trajectory[-1][0]
     return AlignmentResult(
         permutation=perm,
         objective=objective,
         matched_edges=matched_edges(g1, g2, perm),
-        iterations=iterations,
+        iterations=len(trajectory) - 1,
         converged=converged,
         trajectory=log,
     )

@@ -91,7 +91,17 @@ class Graph:
             raise ValueError("self-loops are not allowed")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be symmetric")
-        adj = adj.copy()
+        self._set(adj.copy())
+
+    @classmethod
+    def _trusted(cls, adj: np.ndarray) -> "Graph":
+        """Wrap a fresh square boolean adjacency that is already symmetric and
+        hollow, without the checks or the copy; the array is taken over."""
+        g = cls.__new__(cls)
+        g._set(adj)
+        return g
+
+    def _set(self, adj: np.ndarray) -> None:
         adj.flags.writeable = False
         self._adj = adj
         self._edge_count = int(np.count_nonzero(adj)) // 2
@@ -240,7 +250,7 @@ def generate_er(n: int, p: float, seed: RngSeed | int) -> Graph:
     adj = np.zeros((n, n), dtype=bool)
     adj[_upper_mask(n)] = rng.random(n * (n - 1) // 2) < p
     adj |= adj.T
-    return Graph(adj)
+    return Graph._trusted(adj)
 
 
 def apply_noise(g: Graph, lam: float, seed: RngSeed | int) -> Graph:
@@ -255,7 +265,7 @@ def apply_noise(g: Graph, lam: float, seed: RngSeed | int) -> Graph:
     flips = np.zeros((n, n), dtype=bool)
     flips[_upper_mask(n)] = rng.random(n * (n - 1) // 2) < lam
     flips |= flips.T
-    return Graph(g.adjacency ^ flips)
+    return Graph._trusted(g.adjacency ^ flips)
 
 
 def permute(g: Graph, perm: Permutation) -> Graph:
@@ -265,7 +275,7 @@ def permute(g: Graph, perm: Permutation) -> Graph:
     adj = np.zeros_like(g.adjacency)
     idx = perm.map
     adj[np.ix_(idx, idx)] = g.adjacency
-    return Graph(adj)
+    return Graph._trusted(adj)
 
 
 def random_permutation(n: int, seed: RngSeed | int) -> Permutation:

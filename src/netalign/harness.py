@@ -24,6 +24,7 @@ reported on stderr by the CLI instead.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -233,16 +234,29 @@ class GridSpec:
         ]
 
 
+_CHUNK_SIZE = 8  # trials per task handed to a worker process
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_grid(grid: GridSpec, workers: int = 1) -> list[TrialRecord]:
     """One record per (n, lambda, trial, algorithm), sorted by record key.
 
-    Trials are independent; `workers` > 1 fans them out over processes. The
-    returned records are identical for any worker count.
+    Trials are independent; `workers` > 1 fans them out over processes, at
+    most one per chunk of trials and per available CPU (the pool starts all
+    of its processes up front). The returned records are identical for any
+    worker count.
     """
     specs = grid.specs()
+    workers = min(workers, -(-len(specs) // _CHUNK_SIZE), _available_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_trial, specs, chunksize=8))
+            records = list(pool.map(run_trial, specs, chunksize=_CHUNK_SIZE))
     else:
         records = [run_trial(spec) for spec in specs]
     records.sort(key=TrialRecord.sort_key)

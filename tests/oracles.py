@@ -147,3 +147,56 @@ def power_iteration_linalg_norm(apply, n, tol, max_iters):
     else:
         _, value, residual = stats(v)
     return np.maximum(v, 0.0), value, iterations, residual, converged
+
+
+def ppa_capped_loop(op, v0, project, max_iters, return_best):
+    """Projected power loop that evaluates every step up to the cap.
+
+    `op` supplies `apply` and `permutation_product`, `project` maps an n x n
+    score matrix to a permutation. Stops early only at a fixed point.
+    Returns (permutation, objective, iterations, converged, trajectory,
+    iterates): trajectory is a list of (objective, changed) and iterates the
+    map arrays of the evaluated iterates of the projected step, in order.
+    """
+    n = op.n
+
+    def step(perm):
+        w = op.permutation_product(perm)
+        y = np.zeros(n * n)
+        y[np.arange(n) * n + perm.map] = 1.0
+        return w, float(y @ w.reshape(-1))
+
+    pi0 = project(v0.reshape(n, n))
+    _, obj0 = step(pi0)
+    best_perm, best_obj = pi0, obj0
+    trajectory = [(obj0, 0)]
+    iterates = []
+
+    current = project(op.apply(v0).reshape(n, n))
+    iterations = 1
+    previous = pi0
+    converged = False
+    last_obj = None
+    while True:
+        w, obj = step(current)
+        last_obj = obj
+        iterates.append(current.map)
+        trajectory.append((obj, int(np.count_nonzero(current.map != previous.map))))
+        if obj > best_obj:
+            best_perm, best_obj = current, obj
+        if iterations >= max_iters:
+            break
+        nxt = project(w)
+        iterations += 1
+        if np.array_equal(nxt.map, current.map):
+            converged = True
+            trajectory.append((obj, 0))
+            break
+        previous = current
+        current = nxt
+
+    if return_best:
+        perm, objective = best_perm, best_obj
+    else:
+        perm, objective = current, last_obj
+    return perm, objective, iterations, converged, trajectory, iterates

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from netalign.align import (AlignConfig, build_operator, eigen_align,
 from netalign.estimators import EigenAlign, ProjectedPowerAlignment
 from netalign.graphs import (Graph, RngSeed, generate_er, matched_edges,
                              permute, random_permutation)
+from netalign.harness import make_instance
 from netalign.operator import (DegenerateBalanceError, dense_alignment_matrix,
                                permutation_vector, quadratic_form)
 from netalign.rounding import greedy_round
@@ -173,6 +176,79 @@ class TestConfigAndTrajectory:
         result = eigen_align(g1, g2)
         assert result.iterations >= 1
         assert result.converged
+
+
+# Planted instances (p=0.2) pinned for how the projected step of PPA first
+# revisits an iterate under the default config: (n, lambda, trial, base_seed),
+# the step whose iterate repeats an earlier one, and the period (1 for a fixed
+# point); None for a run that repeats nothing within 60 steps. In
+# "fixed_point_via_start_rounding" iterate 3 equals the direct rounding of the
+# start vector, which is no iterate of the step and must not count as a repeat.
+PPA_STOP_PATTERNS = {
+    "fixed_point": ((8, 0.0, 0, 0), 2, 1),
+    "fixed_point_via_start_rounding": ((9, 0.0, 0, 0), 4, 1),
+    "period_2": ((8, 0.05, 0, 0), 6, 2),
+    "period_2_seen_at_step_3": ((8, 0.0, 1, 7), 3, 2),
+    "period_4": ((8, 0.2, 5, 0), 6, 4),
+    "period_2_seen_at_step_30": ((30, 0.1, 0, 7), 30, 2),
+    "no_repeat": ((40, 0.1, 0, 7), None, None),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_instance(name):
+    n, lam, trial, seed = PPA_STOP_PATTERNS[name][0]
+    g1, g2, _ = make_instance(n, 0.2, lam, trial, seed)
+    return g1, g2
+
+
+def capped_loop_reference(g1, g2, cfg):
+    op = build_operator(g1, g2, cfg.epsilon)
+    v0 = top_eigenvector(op, tol=cfg.eigen_tol, max_iters=cfg.eigen_max_iters).vector
+    return oracles.ppa_capped_loop(op, v0, greedy_round, cfg.ppa_max_iters,
+                                   cfg.return_best)
+
+
+class TestCycleReplay:
+    """PPA stops at a repeated iterate; its result must equal the loop that
+    evaluates every step up to the cap, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(PPA_STOP_PATTERNS))
+    def test_pinned_instance_stops_as_labelled(self, name):
+        _, step, period = PPA_STOP_PATTERNS[name]
+        *_, iterations, converged, _, iterates = capped_loop_reference(
+            *pinned_instance(name), AlignConfig(ppa_max_iters=60))
+        if period == 1:
+            assert converged and iterations == step
+            return
+        first_seen = {}
+        repeat = (None, None)
+        for t, mapping in enumerate(iterates, start=1):
+            key = mapping.tobytes()
+            if key in first_seen:
+                repeat = (t, t - first_seen[key])
+                break
+            first_seen[key] = t
+        assert not converged and repeat == (step, period)
+
+    @pytest.mark.parametrize("return_best", [True, False])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 30, 60])
+    @pytest.mark.parametrize("name", sorted(PPA_STOP_PATTERNS))
+    def test_matches_capped_loop(self, name, cap, return_best):
+        g1, g2 = pinned_instance(name)
+        cfg = AlignConfig(ppa_max_iters=cap, return_best=return_best)
+        perm, objective, iterations, converged, trajectory, _ = \
+            capped_loop_reference(g1, g2, cfg)
+        result = projected_power_align(g1, g2, cfg)
+        assert result.permutation == perm
+        assert np.float64(result.objective).tobytes() == np.float64(objective).tobytes()
+        assert result.matched_edges == matched_edges(g1, g2, perm)
+        assert result.iterations == iterations
+        assert result.converged == converged
+        log = result.trajectory
+        assert log.dtype == np.dtype([("objective", np.float64), ("changed", np.int64)])
+        assert not log.flags.writeable
+        assert log.tobytes() == np.array(trajectory, dtype=log.dtype).tobytes()
 
 
 class TestEstimators:

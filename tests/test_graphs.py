@@ -251,6 +251,28 @@ class TestPermute:
         assert sorted(g.degree_sequence()) == sorted(h.degree_sequence())
 
 
+class TestBuiltGraphsSkipRevalidation:
+    """generate_er, apply_noise and permute wrap their fresh adjacency without
+    re-checking it; the result must equal the fully checked Graph."""
+
+    @staticmethod
+    def assert_same_as_checked(g):
+        checked = Graph(g.adjacency)
+        assert g == checked and g.edge_count == checked.edge_count
+        adj = g.adjacency
+        assert adj.dtype == bool and not adj.flags.writeable
+        assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_matches_checked_constructor(self, n, p):
+        g = generate_er(n, p, RngSeed(n, 1))
+        noisy = apply_noise(g, 0.2, RngSeed(n, 2))
+        relabeled = permute(noisy, random_permutation(n, RngSeed(n, 3)))
+        for built in (g, noisy, relabeled):
+            self.assert_same_as_checked(built)
+
+
 class TestRandomPermutation:
     def test_single_element(self):
         assert random_permutation(1, RngSeed(0)) == Permutation([0])

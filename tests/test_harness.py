@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+import netalign.harness as harness
 from netalign.align import build_operator, eigen_align, projected_power_align
 from netalign.harness import (ALGORITHMS, CSV_HEADER, CellSummary, GridSpec,
                               TrialRecord, TrialSpec, derive_stream,
@@ -135,6 +136,37 @@ class TestRunGrid:
         write_csv(serial, a)
         write_csv(parallel, b)
         assert a.getvalue() == b.getvalue()
+
+    @pytest.mark.parametrize("workers,cpus,started", [
+        (5000, 64, 3),   # 20 trials: three chunks of eight
+        (5000, 2, 2),    # no more processes than CPUs
+        (2, 64, 2),
+        (5000, 1, None),  # one CPU: serial, no pool at all
+    ])
+    def test_pool_size_is_clamped(self, monkeypatch, workers, cpus, started):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
+        grid = GridSpec(n_list=(6,), lambda_list=(0.0, 0.1), p=0.5, trials=5,
+                        base_seed=2)
+        assert len(grid.specs()) == 20
+        records = run_grid(grid, workers=workers)
+        assert sizes == ([] if started is None else [started])
+        assert records == run_grid(grid, workers=1)
 
     def test_sweep_bytes_pinned(self):
         # Small-n grids are full of score ties, so any change to the order of
