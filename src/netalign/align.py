@@ -12,11 +12,20 @@ repeats an earlier one the rest of the run is a known cycle. PPA then stops
 computing and replays the cycle up to the cap: the result (permutation,
 objective, trajectory) is exactly what the capped loop would report, and
 `iterations` and `converged` keep their meaning (the cap, False).
+
+Both pipelines start from the same eigenvector, so the last one computed is
+kept: `eigen_align` and `projected_power_align` run back to back on the same
+`Graph` objects (with equal `epsilon`, `eigen_tol` and `eigen_max_iters`) run
+power iteration once, with results unchanged bit for bit. The entry is keyed
+on the identity of the two graphs, never on their contents, and holds them
+only weakly: the eigenvector stays in memory while both graphs live, and is
+dropped when either is collected or another pair is aligned.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +34,7 @@ from .graphs import Graph, Permutation, matched_edges
 from .operator import (AlignmentOperator, compute_alpha, make_params,
                        permutation_vector, DEFAULT_EPSILON)
 from .rounding import greedy_round, max_weight_matching
-from .spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, top_eigenvector
+from .spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, EigenResult, top_eigenvector
 
 __all__ = ["AlignConfig", "AlignmentResult", "eigen_align", "projected_power_align"]
 
@@ -71,10 +80,42 @@ def build_operator(g1: Graph, g2: Graph, epsilon: float = DEFAULT_EPSILON) -> Al
     return AlignmentOperator(g1, g2, make_params(alpha, epsilon))
 
 
+# The last spectral start: (weakref to g1, weakref to g2, eigen settings,
+# EigenResult), or None. It is replaced by one assignment and read into a
+# local before it is checked, so concurrent callers can at worst miss. The
+# operator is not kept: it references both graphs and would keep them alive.
+_last_start: tuple[weakref.ref, weakref.ref, tuple, EigenResult] | None = None
+
+
+def _forget_start(ref: weakref.ref) -> None:
+    """Drop the entry once either of its graphs is collected."""
+    global _last_start
+    entry = _last_start
+    if entry is not None and (entry[0] is ref or entry[1] is ref):
+        _last_start = None
+
+
+def _spectral_start(g1: Graph, g2: Graph,
+                    cfg: AlignConfig) -> tuple[AlignmentOperator, EigenResult]:
+    """The operator of (g1, g2) and its dominant eigenvector; the eigenvector
+    is reused when the previous call saw these very Graph objects and equal
+    eigen settings, which determine it."""
+    global _last_start
+    op = build_operator(g1, g2, cfg.epsilon)
+    settings = (cfg.epsilon, cfg.eigen_tol, cfg.eigen_max_iters)
+    entry = _last_start
+    if entry is not None and entry[0]() is g1 and entry[1]() is g2 and entry[2] == settings:
+        return op, entry[3]
+    _last_start = None  # free the old vector before computing the new one
+    eig = top_eigenvector(op, tol=cfg.eigen_tol, max_iters=cfg.eigen_max_iters)
+    _last_start = (weakref.ref(g1, _forget_start), weakref.ref(g2, _forget_start),
+                   settings, eig)
+    return op, eig
+
+
 def eigen_align(g1: Graph, g2: Graph, cfg: AlignConfig = AlignConfig()) -> AlignmentResult:
     """Dominant eigenvector of the scoring operator, rounded by exact assignment."""
-    op = build_operator(g1, g2, cfg.epsilon)
-    eig = top_eigenvector(op, tol=cfg.eigen_tol, max_iters=cfg.eigen_max_iters)
+    op, eig = _spectral_start(g1, g2, cfg)
     scores = eig.vector.reshape(op.n, op.n)
     perm = max_weight_matching(scores)
     matched = matched_edges(g1, g2, perm)
@@ -98,14 +139,13 @@ def projected_power_align(g1: Graph, g2: Graph,
     `ppa_max_iters` iterations (flagged, not an error); a cycle of period two
     or more is replayed to the cap without further products or projections.
     """
-    op = build_operator(g1, g2, cfg.epsilon)
+    op, eig = _spectral_start(g1, g2, cfg)
     n = op.n
 
     def step(perm: Permutation) -> tuple[np.ndarray, float]:
         w = op.permutation_product(perm)
         return w, float(permutation_vector(n, perm) @ w.reshape(-1))
 
-    eig = top_eigenvector(op, tol=cfg.eigen_tol, max_iters=cfg.eigen_max_iters)
     v0 = eig.vector
     cap = cfg.ppa_max_iters
 

@@ -79,7 +79,7 @@ class Graph:
     to share across threads.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_csr")
+    __slots__ = ("_adj", "_edge_count", "_csr", "__weakref__")
 
     def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency, dtype=bool)
@@ -190,6 +190,16 @@ class Permutation:
         self._map = arr
 
     @classmethod
+    def _trusted(cls, mapping: "np.ndarray | list[int]") -> "Permutation":
+        """Wrap a bijection on 0..n-1 the package has just built, without the
+        dtype and bijection checks; an int64 array is taken over, not copied."""
+        arr = np.asarray(mapping, dtype=np.int64)
+        arr.flags.writeable = False
+        perm = cls.__new__(cls)
+        perm._map = arr
+        return perm
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(np.arange(n))
 
@@ -283,7 +293,7 @@ def random_permutation(n: int, seed: RngSeed | int) -> Permutation:
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = as_seed(seed).generator()
-    return Permutation(rng.permutation(n))
+    return Permutation._trusted(rng.permutation(n))
 
 
 def matched_edges(g1: Graph, g2: Graph, perm: Permutation) -> int:

@@ -7,6 +7,13 @@ permutation) are derived from the trial coordinates alone - never from the
 algorithm - so every matcher faces the identical instance, and every record
 is a pure function of its spec regardless of scheduling or worker count.
 
+`make_instance` keeps its last instance, so a sweep, which runs the
+algorithms of one (n, lambda, trial) cell back to back, draws each instance
+once per cell and hands every matcher the same `Graph` objects; EigenAlign
+and PPA then also share one eigenvector (see `netalign.align`). Records are
+unchanged bit for bit. The last instance stays in memory until the next one
+is drawn.
+
 Serialization: CSV with the fixed header
 
     n,p,lambda,algorithm,trial,recovery_fraction,exact,matched_edges,objective,objective_ratio,iterations,wall_seconds
@@ -23,6 +30,7 @@ reported on stderr by the CLI instead.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections.abc import Sequence
@@ -153,9 +161,14 @@ def _round6(x: float) -> float:
     return float(f"{x:.6g}")
 
 
+@functools.lru_cache(maxsize=1)
 def make_instance(n: int, p: float, lam: float, trial_index: int,
                   base_seed: int) -> tuple[Graph, Graph, Permutation]:
-    """Planted instance (G1, G2, hidden permutation) for one trial cell."""
+    """Planted instance (G1, G2, hidden permutation) for one trial cell.
+
+    The last instance is kept: the same arguments again return the same
+    (immutable) objects.
+    """
     g1 = generate_er(n, p, derive_stream(base_seed, n, p, lam, trial_index, STREAM_GRAPH))
     noisy = apply_noise(g1, lam, derive_stream(base_seed, n, p, lam, trial_index, STREAM_NOISE))
     planted = random_permutation(n, derive_stream(base_seed, n, p, lam, trial_index, STREAM_PERM))
@@ -234,7 +247,9 @@ class GridSpec:
         ]
 
 
-_CHUNK_SIZE = 8  # trials per task handed to a worker process
+# Trials per task handed to a worker process. A multiple of len(ALGORITHMS),
+# so a chunk never splits the algorithms of one cell and they share its instance.
+_CHUNK_SIZE = 8
 
 
 def _available_cpus() -> int:
@@ -346,41 +361,46 @@ def _gray_level(recovery: float, log_scale: bool) -> int:
     return round(255 * recovery)
 
 
-def render_heatmap(summary: Sequence[CellSummary], sink: IO[str], algorithm: str,
-                   log_scale: bool = False) -> None:
-    """Plain-text PGM (P2): rows = lambda grid, columns = n grid, gray 0..255."""
+def _recovery_grid(summary: Sequence[CellSummary], algorithm: str
+                   ) -> tuple[list[int], list[float], list[list[float]]]:
+    """The n axis, the lambda axis and the mean recoveries of one algorithm's
+    cells, one row per lambda; every (n, lambda) cell must be present."""
     cells = [c for c in summary if c.algorithm == algorithm]
     if not cells:
         raise ValueError(f"no summary cells for algorithm {algorithm!r}")
     n_values = sorted({c.n for c in cells})
     lam_values = sorted({c.lam for c in cells})
     lookup = {(c.n, c.lam): c.mean_recovery for c in cells}
-    sink.write("P2\n")
-    sink.write(f"# mean recovery heatmap: algorithm={algorithm} "
-               f"scale={'log10(1+9r)' if log_scale else 'linear'}\n")
-    sink.write(f"{len(n_values)} {len(lam_values)}\n255\n")
+    rows = []
     for lam in lam_values:
         row = []
         for n in n_values:
             if (n, lam) not in lookup:
                 raise ValueError(f"summary grid is ragged: missing cell (n={n}, lambda={lam})")
-            row.append(str(_gray_level(lookup[(n, lam)], log_scale)))
-        sink.write(" ".join(row) + "\n")
+            row.append(lookup[(n, lam)])
+        rows.append(row)
+    return n_values, lam_values, rows
+
+
+def render_heatmap(summary: Sequence[CellSummary], sink: IO[str], algorithm: str,
+                   log_scale: bool = False) -> None:
+    """Plain-text PGM (P2): rows = lambda grid, columns = n grid, gray 0..255."""
+    n_values, lam_values, rows = _recovery_grid(summary, algorithm)
+    sink.write("P2\n")
+    sink.write(f"# mean recovery heatmap: algorithm={algorithm} "
+               f"scale={'log10(1+9r)' if log_scale else 'linear'}\n")
+    sink.write(f"{len(n_values)} {len(lam_values)}\n255\n")
+    for row in rows:
+        sink.write(" ".join(str(_gray_level(r, log_scale)) for r in row) + "\n")
 
 
 def write_heatmap_legend(summary: Sequence[CellSummary], sink: IO[str],
                          algorithm: str, log_scale: bool = False) -> None:
     """Sidecar legend: axes, gray mapping, and the per-cell mean recoveries."""
-    cells = [c for c in summary if c.algorithm == algorithm]
-    if not cells:
-        raise ValueError(f"no summary cells for algorithm {algorithm!r}")
-    n_values = sorted({c.n for c in cells})
-    lam_values = sorted({c.lam for c in cells})
-    lookup = {(c.n, c.lam): c.mean_recovery for c in cells}
+    n_values, lam_values, rows = _recovery_grid(summary, algorithm)
     sink.write(f"algorithm: {algorithm}\n")
     sink.write(f"gray mapping: {'round(255*log10(1+9r))' if log_scale else 'round(255*r)'}\n")
     sink.write(f"columns (n): {' '.join(str(n) for n in n_values)}\n")
     sink.write(f"rows (lambda): {' '.join(_fmt(l) for l in lam_values)}\n")
-    for lam in lam_values:
-        values = " ".join(_fmt(lookup[(n, lam)]) for n in n_values)
-        sink.write(f"lambda={_fmt(lam)}: {values}\n")
+    for lam, row in zip(lam_values, rows):
+        sink.write(f"lambda={_fmt(lam)}: {' '.join(_fmt(r) for r in row)}\n")

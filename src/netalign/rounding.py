@@ -31,7 +31,7 @@ def max_weight_matching(scores: np.ndarray) -> Permutation:
     rows, cols = linear_sum_assignment(s, maximize=True)
     mapping = np.empty(s.shape[0], dtype=np.int64)
     mapping[rows] = cols
-    return Permutation(mapping)
+    return Permutation._trusted(mapping)
 
 
 def greedy_round(scores: np.ndarray) -> Permutation:
@@ -60,4 +60,4 @@ def greedy_round(scores: np.ndarray) -> Permutation:
             assigned += 1
             if assigned == n:
                 break
-    return Permutation(mapping)
+    return Permutation._trusted(mapping)

@@ -1,8 +1,11 @@
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+import netalign.align as align
 from netalign.align import (AlignConfig, build_operator, eigen_align,
                             projected_power_align)
 from netalign.estimators import EigenAlign, ProjectedPowerAlignment
@@ -249,6 +252,83 @@ class TestCycleReplay:
         assert log.dtype == np.dtype([("objective", np.float64), ("changed", np.int64)])
         assert not log.flags.writeable
         assert log.tobytes() == np.array(trajectory, dtype=log.dtype).tobytes()
+
+
+def fresh_pair(n=20, lam=0.1, trial=0, seed=5):
+    """Graph objects no other test holds: copies of a planted instance."""
+    g1, g2, _ = make_instance(n, 0.2, lam, trial, seed)
+    return Graph(g1.adjacency), Graph(g2.adjacency)
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """Count the power iterations the pipelines run."""
+    calls = []
+
+    def counting(op, **kwargs):
+        calls.append(op)
+        return top_eigenvector(op, **kwargs)
+
+    monkeypatch.setattr(align, "top_eigenvector", counting)
+    return calls
+
+
+def assert_same_result(a, b):
+    assert a == b
+    assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+    if a.trajectory is None:
+        assert b.trajectory is None
+    else:
+        assert a.trajectory.dtype == b.trajectory.dtype
+        assert a.trajectory.tobytes() == b.trajectory.tobytes()
+
+
+class TestSharedSpectralStart:
+    """EigenAlign and PPA on the same Graph objects run power iteration once."""
+
+    @pytest.mark.parametrize("first, second", [(eigen_align, projected_power_align),
+                                               (projected_power_align, eigen_align)])
+    def test_once_for_both_matchers(self, eigen_calls, first, second):
+        g1, g2 = fresh_pair()
+        first(g1, g2)
+        second(g1, g2, AlignConfig(ppa_max_iters=5, return_best=False))
+        assert len(eigen_calls) == 1
+
+    def test_twice_on_equal_but_distinct_graphs(self, eigen_calls):
+        g1, g2 = fresh_pair()
+        eigen_align(g1, g2)
+        projected_power_align(Graph(g1.adjacency), g2)
+        projected_power_align(g1, Graph(g2.adjacency))
+        assert len(eigen_calls) == 3
+
+    @pytest.mark.parametrize("changed", [{"epsilon": 0.01}, {"eigen_tol": 1e-9},
+                                         {"eigen_max_iters": 3}])
+    def test_twice_when_an_eigen_setting_differs(self, eigen_calls, changed):
+        g1, g2 = fresh_pair()
+        eigen_align(g1, g2)
+        projected_power_align(g1, g2, AlignConfig(**changed))
+        assert len(eigen_calls) == 2
+
+    @pytest.mark.parametrize("dying", [(0,), (1,), (0, 1)])
+    def test_entry_dies_with_its_graphs(self, dying):
+        pair = dict(enumerate(fresh_pair()))
+        eigen_align(pair[0], pair[1])
+        assert align._last_start is not None
+        refs = [weakref.ref(pair.pop(i)) for i in dying]
+        gc.collect()
+        assert all(ref() is None for ref in refs)  # the entry holds no graph
+        assert align._last_start is None
+
+    @pytest.mark.parametrize("lam, cap", [(0.0, 30), (0.1, 30), (0.3, 7)])
+    def test_ppa_after_a_hit_equals_a_fresh_run(self, eigen_calls, lam, cap):
+        cfg = AlignConfig(ppa_max_iters=cap)
+        g1, g2 = fresh_pair(n=16, lam=lam)
+        eigen_align(g1, g2, cfg)
+        hit = projected_power_align(g1, g2, cfg)
+        assert len(eigen_calls) == 1
+        fresh = projected_power_align(Graph(g1.adjacency), Graph(g2.adjacency), cfg)
+        assert len(eigen_calls) == 2
+        assert_same_result(hit, fresh)
 
 
 class TestEstimators:

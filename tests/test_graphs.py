@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from netalign.graphs import (Graph, Permutation, RngSeed, apply_noise,
                              format_edge_list, generate_er, matched_edges,
                              parse_edge_list, permute, random_permutation)
+from netalign.rounding import greedy_round, max_weight_matching
 
 import oracles
 
@@ -271,6 +272,27 @@ class TestBuiltGraphsSkipRevalidation:
         relabeled = permute(noisy, random_permutation(n, RngSeed(n, 3)))
         for built in (g, noisy, relabeled):
             self.assert_same_as_checked(built)
+
+
+class TestBuiltPermutationsSkipRevalidation:
+    """greedy_round, max_weight_matching and random_permutation wrap the
+    bijection they built without re-checking it; the result must equal the
+    fully checked Permutation."""
+
+    @staticmethod
+    def builders(n, seed):
+        scores = np.random.default_rng(seed).integers(0, 4, size=(n, n)).astype(float)
+        yield greedy_round(scores)
+        yield max_weight_matching(scores)
+        yield random_permutation(n, RngSeed(seed, 4))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_checked_constructor(self, n, seed):
+        for built in self.builders(n, seed):
+            mapping = built.map
+            assert built == Permutation(mapping)
+            assert mapping.dtype == np.int64 and not mapping.flags.writeable
 
 
 class TestRandomPermutation:

@@ -32,6 +32,12 @@ class TestStreamDerivation:
         assert mix64(0) == 16294208416658607535  # splitmix64(0), the reference value
         assert mix64(1, 2, 3) == 15020427595393229491
 
+    def test_last_instance_kept(self):
+        a = make_instance(9, 0.3, 0.2, 6, 17)
+        assert make_instance(9, 0.3, 0.2, 6, 17) is a
+        drawn = make_instance.__wrapped__(9, 0.3, 0.2, 6, 17)
+        assert drawn is not a and drawn == a
+
     def test_instances_shared_across_algorithms(self):
         # Stream derivation has no algorithm input; the planted instance is a
         # pure function of (base_seed, n, p, lambda, trial).
@@ -103,6 +109,15 @@ class TestRunGrid:
         g1a, g2a, _ = make_instance(8, 0.4, 0.1, 0, 5)
         g1b, g2b, _ = make_instance(8, 0.4, 0.1, 0, 5)
         assert g1a.edge_count == g1b.edge_count and g2a == g2b
+
+    def test_ppa_records_do_not_depend_on_eigenalign_trials(self):
+        both = GridSpec(n_list=(6, 12), lambda_list=(0.0, 0.2), p=0.3, trials=3,
+                        base_seed=4)
+        alone = GridSpec(n_list=both.n_list, lambda_list=both.lambda_list, p=both.p,
+                         trials=both.trials, algorithms=("ppa",), base_seed=both.base_seed)
+        ppa = [r for r in run_grid(both) if r.algorithm == "ppa"]
+        assert len(ppa) == 12
+        assert run_grid(alone) == ppa
 
     def test_records_imply_same_planted_objective(self):
         # objective / objective_ratio recovers the planted permutation's
@@ -354,3 +369,8 @@ class TestHeatmap:
         cells = self._summary()[:3]
         with pytest.raises(ValueError, match="ragged"):
             render_heatmap(cells, io.StringIO(), "ppa")
+
+    def test_ragged_grid_rejected_by_legend(self):
+        cells = self._summary()[:3]
+        with pytest.raises(ValueError, match="ragged"):
+            write_heatmap_legend(cells, io.StringIO(), "ppa")
