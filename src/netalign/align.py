@@ -133,8 +133,9 @@ def projected_power_align(g1: Graph, g2: Graph,
     """Alternate operator multiplication with greedy projection onto permutations.
 
     The start vector v0 is the dominant eigenvector; the first multiply uses
-    v0 itself, every later multiply uses the 0/1 vectorization of the current
-    permutation iterate (`AlignmentOperator.permutation_product`).
+    v0 itself (the product `top_eigenvector` already computed,
+    `EigenResult.product`), every later multiply uses the 0/1 vectorization
+    of the current permutation iterate (`AlignmentOperator.permutation_product`).
     Terminates at a fixed point of the projected step or after
     `ppa_max_iters` iterations (flagged, not an error); a cycle of period two
     or more is replayed to the cap without further products or projections.
@@ -158,7 +159,7 @@ def projected_power_align(g1: Graph, g2: Graph,
     iterates = [pi0]                 # iterates[k] is the permutation of entry k
     seen: dict[bytes, int] = {}      # iterate of the projected map -> its index
 
-    current = greedy_round(op.apply(v0).reshape(n, n))
+    current = greedy_round(eig.product.reshape(n, n))
     converged = False
     while True:
         k = len(iterates)

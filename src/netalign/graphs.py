@@ -13,7 +13,9 @@ Edge-list text format::
     # comment lines and blank lines are ignored
 
 Duplicate lines and both orientations of an edge collapse to a single edge;
-self-loops are rejected.
+self-loops are rejected. The header's vertex count is bounded by
+`MAX_EDGE_LIST_VERTICES`, checked before anything is allocated, because the
+graph is stored as a dense n x n matrix.
 """
 
 from __future__ import annotations
@@ -37,9 +39,15 @@ __all__ = [
     "parse_edge_list",
     "format_edge_list",
     "matched_edges",
+    "MAX_EDGE_LIST_VERTICES",
 ]
 
 _MASK64 = (1 << 64) - 1
+# Largest vertex count an edge-list header may declare. The dense boolean
+# adjacency takes n² bytes (100 MB at the limit) and the operator's n x n
+# float products 8 n² bytes each, so a larger header is rejected before any
+# allocation rather than trusted.
+MAX_EDGE_LIST_VERTICES = 10_000
 
 
 @dataclass(frozen=True)
@@ -324,6 +332,9 @@ def parse_edge_list(text: str | IO[str]) -> Graph:
                 raise ValueError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
             if n < 1:
                 raise ValueError(f"line {lineno}: vertex count must be positive")
+            if n > MAX_EDGE_LIST_VERTICES:
+                raise ValueError(f"line {lineno}: vertex count {n} exceeds the limit of "
+                                 f"{MAX_EDGE_LIST_VERTICES}")
             continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")

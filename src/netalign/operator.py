@@ -16,6 +16,12 @@ form in its matched-edge count (`matched_objective`, `quadratic_form`).
 `dense_alignment_matrix` builds the full n² x n² matrix entry by entry from
 the scoring rule alone and exists purely as a verification oracle for small
 n.
+
+Every sparse product goes through `_csr_product`, which calls scipy's
+compiled CSR kernels (`csr_matvec`, `csr_matvecs`) on the arrays that
+`Graph.csr()` caches. They are the kernels `csr_array @ dense` ends in, so
+every float is the same; at n <= 50 the Python dispatch in front of them
+costs more than the kernel itself.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .graphs import Graph, Permutation, matched_edges
 
@@ -96,6 +104,30 @@ def compute_alpha(g1: Graph, g2: Graph) -> float:
     return 1.0 + matches / mismatches
 
 
+def _csr_product(a: sp.csr_array, x: np.ndarray) -> np.ndarray:
+    """`a @ x` for a float64 CSR matrix and a float64 vector or matrix.
+
+    This bypasses the public `@` on purpose: at n <= 50 scipy's dispatch
+    (`_matmul_dispatch`, then `_matmul_vector` or `_matmul_multivector`)
+    costs more than the compiled kernel it ends in. The call below is that
+    kernel call, with the same zero-filled output and the same C-order
+    operand, so the sums run in the same order; the tests pin this function
+    to the public `@` bit for bit.
+    """
+    m, k = a.shape
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape[0] != k:  # the kernel would read past the end of x
+        raise ValueError(f"operand has {x.shape[0]} rows, the matrix {k} columns")
+    if x.ndim == 1:
+        out = np.zeros(m)
+        _sparsetools.csr_matvec(m, k, a.indptr, a.indices, a.data, x, out)
+    else:
+        out = np.zeros((m, x.shape[1]))
+        _sparsetools.csr_matvecs(m, k, x.shape[1], a.indptr, a.indices, a.data,
+                                 x.ravel(), out.ravel())
+    return out
+
+
 class AlignmentOperator:
     """Matrix-free symmetric positive operator on length-n² vectors.
 
@@ -137,12 +169,17 @@ class AlignmentOperator:
         V = v.reshape(n, n)
         # Quadratic term: G1 V G2 via two sparse-dense products; V G2 is taken
         # as (G2 (G1 V)^T)^T since G2 is symmetric, which adds the same terms
-        # in the same order without scipy transposing G2 on every call.
-        U = self._k_quad * (self._a2 @ (self._a1 @ V).T).T
+        # in the same order without transposing G2 on every call. U is built
+        # in C order so the final reshape is a view. Y lives until return on
+        # purpose: deleting it right after use made glibc hand the heap top
+        # back and fault it in again on the next call (n = 600: 2.8k minor
+        # page faults per `top_eigenvector` call became 19k).
+        Y = _csr_product(self._a2, _csr_product(self._a1, V).T)
+        U = np.multiply(Y.T, self._k_quad, order="C")
         # Rank-one corrections: G1 V J has constant rows G1 @ rowsums(V),
         # J V G2 constant columns G2 @ colsums(V) (G2 symmetric).
-        row = self._a1 @ V.sum(axis=1)
-        col = self._a2 @ V.sum(axis=0)
+        row = _csr_product(self._a1, V.sum(axis=1))
+        col = _csr_product(self._a2, V.sum(axis=0))
         U += self._k_lin * (row[:, None] + col[None, :])
         U += self.params.s2 * V.sum()
         return U.reshape(self.dim)
@@ -156,7 +193,7 @@ class AlignmentOperator:
         """
         if len(perm) != self.n:
             raise ValueError(f"permutation length {len(perm)} != operator size {self.n}")
-        U = self._k_quad * (self._a1 @ self._dense2[perm.map])
+        U = self._k_quad * _csr_product(self._a1, self._dense2[perm.map])
         U += self._degree_term
         U += self.params.s2 * float(self.n)
         return U

@@ -9,7 +9,7 @@ spectral shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,9 @@ class EigenResult:
     iterations: int
     residual: float          # ||A v - value * v||_2 for the returned vector
     converged: bool          # False when the iteration cap was hit
+    product: np.ndarray = field(compare=False, repr=False)
+    """`op.apply(vector)`, read-only. Power iteration computes it for the
+    final residual anyway, so a caller that needs A v gets it for free."""
 
 
 def _norm(x: np.ndarray) -> float:
@@ -83,13 +86,16 @@ def top_eigenvector(op: AlignmentOperator,
             break
         v = v_next
         if diff < tol:
-            _, value, residual = stats(v)  # stats of the iterate actually returned
+            w, value, residual = stats(v)  # stats of the iterate actually returned
             converged = True
             break
     else:
-        _, value, residual = stats(v)  # cap hit: report the final iterate honestly
+        w, value, residual = stats(v)  # cap hit: report the final iterate honestly
 
     vector = np.maximum(v, 0.0)  # clamp roundoff negatives for downstream rounding
+    if (v < 0).any():  # only a custom start can leave negatives to clamp
+        w = op.apply(vector)
     vector.flags.writeable = False
+    w.flags.writeable = False
     return EigenResult(vector=vector, value=value, iterations=iterations,
-                       residual=residual, converged=converged)
+                       residual=residual, converged=converged, product=w)

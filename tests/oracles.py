@@ -200,3 +200,40 @@ def ppa_capped_loop(op, v0, project, max_iters, return_best):
     else:
         perm, objective = current, last_obj
     return perm, objective, iterations, converged, trajectory, iterates
+
+
+def apply_public_matmul(op, v):
+    """AlignmentOperator.apply through scipy's public `csr_array @ dense`.
+
+    The operator's earlier code, with the CSR views rebuilt through
+    `csr_via_dense` and the coefficients recomputed from `op.params`.
+    """
+    p = op.params
+    k_quad = p.s1 + p.s2 - 2.0 * p.s3
+    k_lin = p.s3 - p.s2
+    a1 = csr_via_dense(np.asarray(op.g1.adjacency))
+    a2 = csr_via_dense(np.asarray(op.g2.adjacency))
+    n = op.n
+    V = np.asarray(v, dtype=np.float64).reshape(n, n)
+    U = k_quad * (a2 @ (a1 @ V).T).T
+    row = a1 @ V.sum(axis=1)
+    col = a2 @ V.sum(axis=0)
+    U += k_lin * (row[:, None] + col[None, :])
+    U += p.s2 * V.sum()
+    return U.reshape(n * n)
+
+
+def permutation_product_public_matmul(op, mapping):
+    """AlignmentOperator.permutation_product through scipy's public `@`:
+    k_quad * G1 @ G2[perm], then the degree and constant terms."""
+    p = op.params
+    k_quad = p.s1 + p.s2 - 2.0 * p.s3
+    k_lin = p.s3 - p.s2
+    adj1 = np.asarray(op.g1.adjacency)
+    adj2 = np.asarray(op.g2.adjacency)
+    deg1 = adj1.sum(axis=1).astype(np.float64)
+    deg2 = adj2.sum(axis=1).astype(np.float64)
+    U = k_quad * (csr_via_dense(adj1) @ adj2.astype(np.float64)[np.asarray(mapping)])
+    U += k_lin * (deg1[:, None] + deg2[None, :])
+    U += p.s2 * float(op.n)
+    return U

@@ -331,6 +331,37 @@ class TestSharedSpectralStart:
         assert_same_result(hit, fresh)
 
 
+class TestPpaStartProduct:
+    """PPA's first multiply is the eigen stage's last product, not a new one."""
+
+    @pytest.fixture
+    def apply_calls(self, monkeypatch):
+        calls = []
+        original = align.AlignmentOperator.apply
+
+        def counting(op, v):
+            calls.append(op)
+            return original(op, v)
+
+        monkeypatch.setattr(align.AlignmentOperator, "apply", counting)
+        return calls
+
+    def test_no_apply_beyond_the_eigen_stage(self, apply_calls):
+        g1, g2 = fresh_pair(n=16, lam=0.1)
+        eig = top_eigenvector(build_operator(g1, g2))
+        assert len(apply_calls) == eig.iterations + 1
+        apply_calls.clear()
+        projected_power_align(Graph(g1.adjacency), Graph(g2.adjacency))
+        assert len(apply_calls) == eig.iterations + 1
+
+    def test_no_apply_after_eigen_align(self, apply_calls):
+        g1, g2 = fresh_pair(n=16, lam=0.1)
+        eigen_align(g1, g2)
+        apply_calls.clear()
+        projected_power_align(g1, g2)
+        assert apply_calls == []
+
+
 class TestEstimators:
     def test_fit_matches_functional_api(self):
         g1 = generate_er(12, 0.3, RngSeed(640, 1))

@@ -175,6 +175,15 @@ class TestMatch:
         assert code == 1
         assert "bad.txt" in err and "self-loop" in err
 
+    def test_oversized_header_reported_with_path(self, tmp_path, capsys):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("n 100000000\n0 1\n")
+        g = self.write_path3(tmp_path, "g.txt")
+        code, out, err = run_cli(["match", "--g1", str(huge), "--g2", str(g)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: --g1 file {huge}: ") and "limit" in err
+
     @pytest.mark.parametrize("flag,value", [("--eigen-tol", "nan"), ("--epsilon", "inf")])
     def test_bad_config_exits_2(self, tmp_path, capsys, flag, value):
         path = self.write_path3(tmp_path, "p3.txt")

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netalign.graphs import (Graph, Permutation, RngSeed, apply_noise,
-                             format_edge_list, generate_er, matched_edges,
+from netalign.graphs import (MAX_EDGE_LIST_VERTICES, Graph, Permutation, RngSeed,
+                             apply_noise, format_edge_list, generate_er, matched_edges,
                              parse_edge_list, permute, random_permutation)
 from netalign.rounding import greedy_round, max_weight_matching
 
@@ -344,6 +344,18 @@ class TestEdgeListFormat:
     def test_missing_header(self):
         with pytest.raises(ValueError, match="header"):
             parse_edge_list("0 1\n")
+
+    def test_header_above_limit_rejected_before_allocating(self):
+        # 10^16 bytes could never be allocated: a parser that trusted this
+        # header would fail with MemoryError, not with this ValueError.
+        with pytest.raises(ValueError, match=f"limit of {MAX_EDGE_LIST_VERTICES}"):
+            parse_edge_list("n 100000000\n0 1\n")
+
+    def test_header_at_limit_passes_the_check(self):
+        # A header at the limit is accepted; the edge line after it is then
+        # rejected before the graph is built, so nothing large is allocated.
+        with pytest.raises(ValueError, match="line 2: self-loop"):
+            parse_edge_list(f"n {MAX_EDGE_LIST_VERTICES}\n3 3\n")
 
     def test_accepts_stream(self):
         g = parse_edge_list(io.StringIO("n 2\n0 1\n"))

@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from netalign.graphs import (Graph, Permutation, RngSeed, generate_er, matched_edges,
                              random_permutation)
+from netalign import operator
+from netalign.harness import make_instance
 from netalign.operator import (AlignmentOperator, DegenerateBalanceError,
                                ScoringParams, compute_alpha,
                                dense_alignment_matrix, make_params,
@@ -257,6 +260,104 @@ class TestPermutationProduct:
         op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
         with pytest.raises(ValueError):
             op.permutation_product(Permutation.identity(5))
+
+
+@st.composite
+def operator_and_vector(draw):
+    """An operator on 1..12 vertices (empty and complete graphs drawn often,
+    scores from any alpha), a signed input vector, and whether to hand it
+    over as a strided view."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+
+    def graph(stream):
+        kind = draw(st.sampled_from(("er", "er", "empty", "complete")))
+        if kind == "empty":
+            return empty_graph(n)
+        if kind == "complete":
+            return complete_graph(n)
+        return generate_er(n, draw(st.sampled_from((0.1, 0.3, 0.6))), RngSeed(seed, stream))
+
+    params = make_params(draw(st.floats(min_value=1.0, max_value=50.0)))
+    op = AlignmentOperator(graph(1), graph(2), params)
+    v = RngSeed(seed, 3).generator().standard_normal(n * n)
+    return op, v, draw(st.booleans())
+
+
+def strided(v):
+    """A copy of v as a view with stride two, sharing no memory with v."""
+    buf = np.full(2 * v.size, np.nan)
+    buf[::2] = v
+    return buf[::2]
+
+
+def assert_same_bytes(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestCsrKernels:
+    """`apply` and `permutation_product` call scipy's CSR kernels directly;
+    they equal the public-`@` versions (`oracles`) byte for byte."""
+
+    @given(operator_and_vector())
+    @example((AlignmentOperator(empty_graph(1), empty_graph(1), make_params(1.0)),
+              np.array([-2.5]), True))
+    @example((AlignmentOperator(complete_graph(7), empty_graph(7), make_params(3.0)),
+              RngSeed(1, 1).generator().standard_normal(49), True))
+    @settings(max_examples=200, deadline=None)
+    def test_apply_bitwise_equal_to_public_matmul(self, case):
+        op, v, use_strided = case
+        arg = strided(v) if use_strided else v
+        assert_same_bytes(op.apply(arg), oracles.apply_public_matmul(op, v))
+
+    @given(operator_and_vector())
+    @settings(max_examples=100, deadline=None)
+    def test_permutation_product_bitwise_equal_to_public_matmul(self, case):
+        op, v, _ = case
+        sigma = Permutation._trusted(np.argsort(v[:op.n], kind="stable"))
+        assert_same_bytes(op.permutation_product(sigma),
+                          oracles.permutation_product_public_matmul(op, sigma.map))
+
+    def test_result_is_a_fresh_writeable_vector(self):
+        g1, g2 = random_pair(6, 40)
+        op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
+        v = np.linspace(-1.0, 1.0, 36)
+        w = op.apply(v)
+        assert w.shape == (36,) and w.flags.c_contiguous and w.flags.writeable
+        assert not np.shares_memory(w, v)
+
+    def test_kernels_receive_c_order_operands(self, monkeypatch):
+        # scipy's private wrapper happens to copy a strided operand itself;
+        # the helper does not rely on that and hands over C-order buffers.
+        seen = []
+
+        def spy(name):
+            kernel = getattr(operator._sparsetools, name)
+
+            def call(*args):
+                seen.extend(a for a in args if isinstance(a, np.ndarray))
+                return kernel(*args)
+            return call
+
+        monkeypatch.setattr(operator, "_sparsetools", types.SimpleNamespace(
+            csr_matvec=spy("csr_matvec"), csr_matvecs=spy("csr_matvecs")))
+        a = generate_er(9, 0.4, RngSeed(41)).csr()
+        m = RngSeed(42).generator().standard_normal((9, 9))
+        for x in (m[:, 0], m[0], m.T, m[:, ::-1]):
+            assert_same_bytes(operator._csr_product(a, x), a @ x)
+        assert len(seen) == 4 * 5 and all(arr.flags.c_contiguous for arr in seen)
+
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_sparse_planted_pair_n600(self, trial):
+        g1, g2, _ = make_instance(600, 0.0125, 0.001, trial, 7)
+        op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
+        v = RngSeed(600, trial).generator().random(op.dim)
+        assert_same_bytes(op.apply(v), oracles.apply_public_matmul(op, v))
+        assert_same_bytes(op.apply(strided(v)), oracles.apply_public_matmul(op, v))
+        sigma = random_permutation(600, RngSeed(601, trial))
+        assert_same_bytes(op.permutation_product(sigma),
+                          oracles.permutation_product_public_matmul(op, sigma.map))
 
 
 class TestQuadraticForm:

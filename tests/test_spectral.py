@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,42 @@ class TestAgainstEarlierImplementation:
         assert res.vector.tobytes() == vector.tobytes()
         assert (res.value, res.iterations, res.residual, res.converged) == \
             (value, iterations, residual, converged)
+
+
+class TestProduct:
+    """`EigenResult.product` is `op.apply(vector)` byte for byte, read-only,
+    and left out of `==`."""
+
+    @pytest.mark.parametrize("case", ["residual-exit", "diff-exit", "cap-exit", "n600"])
+    def test_equals_apply_of_vector(self, case):
+        op, tol, max_iters = {
+            "residual-exit": (empty_pair_operator(4), DEFAULT_TOL, DEFAULT_MAX_ITERS),
+            "diff-exit": (planted_operator(10, 0.2, 0.05, 700), DEFAULT_TOL, DEFAULT_MAX_ITERS),
+            "cap-exit": (planted_operator(6, 0.5, 0.1, 703), 1e-15, 3),
+            "n600": (planted_operator(600, 0.0125, 0.001, 704), DEFAULT_TOL,
+                     DEFAULT_MAX_ITERS),
+        }[case]
+        res = top_eigenvector(op, tol=tol, max_iters=max_iters)
+        assert res.converged == (case != "cap-exit")
+        assert res.product.tobytes() == op.apply(res.vector).tobytes()
+        assert res.product.tobytes() == oracles.apply_public_matmul(op, res.vector).tobytes()
+        assert not res.product.flags.writeable
+
+    def test_recomputed_after_clamping(self):
+        # One step from a start whose image has negative entries: the clamp
+        # zeroes them, and the product is that of the clamped vector.
+        op, _ = random_operator(5, 108)
+        start = np.zeros(25)
+        start[0], start[24] = 1.0, -1.0
+        res = top_eigenvector(op, tol=1e-15, max_iters=1, start=start)
+        assert (res.vector == 0).any()
+        assert res.product.tobytes() == op.apply(res.vector).tobytes()
+        assert not res.product.flags.writeable
+
+    def test_left_out_of_equality(self):
+        op, _ = random_operator(5, 109)
+        res = top_eigenvector(op)
+        assert res == dataclasses.replace(res, product=np.zeros(25))
 
 
 class TestValidation:
