@@ -4,15 +4,45 @@ The operator scores every pair of candidate vertex correspondences
 ((i, j'), (r, s')) with s1 when (i, r) and (j', s') are both edges, s2 when
 neither is, and s3 otherwise. It acts on length-n² vectors indexed by
 i*n + j' (row: first-graph vertex, column: second-graph vertex) and is never
-materialized: the product reduces to sparse congruence and rank-one terms,
+materialized as an n² x n² matrix. With J the all-ones n x n matrix,
 
-    U = (s1 + s2 - 2 s3) * G1 V G2 + (s3 - s2) * (G1 V J + J V G2) + s2 * J V J,
+    A = (s1 + s2 - 2 s3) G1⊗G2 + (s3 - s2) (G1⊗J + J⊗G2) + s2 J⊗J,
 
-costing O(n * (e1 + e2) + n^2) per apply. For the 0/1 vectorization of a
-permutation pi, G1 V G2 = G1 @ G2[pi] and the row and column sums of V are
-all ones, so `permutation_product` needs one sparse-dense product with an
-integer-valued result. The objective y^T A y of a permutation has a closed
-form in its matched-edge count (`matched_objective`, `quadratic_form`).
+and `apply` computes A v in one of two ways, chosen once per operator:
+
+- Sparse: U = k G1 V G2 + (s3 - s2) (G1 V J + J V G2) + s2 J V J with
+  k = s1 + s2 - 2 s3, i.e. two sparse congruence products plus rank-one
+  corrections, O(n * (e1 + e2) + n^2) per apply.
+- Dense factored: completing the square in the Kronecker factors,
+  A = k M1⊗M2 + d 11^T with M_i = G_i + c J. Expanding k M1⊗M2 gives
+  k G1⊗G2 + k c (G1⊗J + J⊗G2) + k c² J⊗J, so matching terms gives
+  c = (s3 - s2) / k and d = s2 - (s3 - s2)² / k = (s1 s2 - s3²) / k, which
+  is positive because s1, s2 > s3 > 0. Then U = (k M1) V M2 + d * sum(V):
+  two n x n GEMMs and a sum, O(n^3) per apply. k M1 and M2 are built on
+  the first dense apply and kept.
+
+`dense_product_wins` picks the product from n and the graphs' stored
+entries nnz1 + nnz2 alone. Measured per apply with one BLAS thread (2-core
+Xeon, AVX-512 OpenBLAS), sparse time over dense time:
+
+    n <= 50        2.2-3.0 at every fill (nnz1 + nnz2) / n²
+    n = 100        0.9-1.1 at fill <= 0.05, 1.4-2.1 at fill >= 0.1
+    n = 150-200    1.1-1.5 at fill <= 0.05, more above
+    n = 250-1000   0.5-0.8 at fill 0.02, about 1 at 0.1, 1.3-1.6 at 0.2
+
+so the dense product is taken for n <= `DENSE_ALWAYS_N`, and for
+n <= `DENSE_MAX_N` once the fill reaches `DENSE_MIN_FILL`. `DENSE_MAX_N`
+keeps the two cached factors at 16 MB or less. The `match` path at n = 600,
+p = 0.0125 (fill 0.025) stays sparse. The two products agree to rounding
+(~2e-16 relative) but not bit for bit, and the dense one's last bits depend
+on the BLAS build and its kernels; on tie-heavy inputs that can move an
+eigenvector's rounding to a permutation.
+
+For the 0/1 vectorization of a permutation pi, G1 V G2 = G1 @ G2[pi] and the
+row and column sums of V are all ones, so `permutation_product` needs one
+sparse-dense product with an integer-valued result (it always takes that
+exact sparse route). The objective y^T A y of a permutation has a closed
+form in its matched-edge count (`permutation_objective`, `quadratic_form`).
 `dense_alignment_matrix` builds the full n² x n² matrix entry by entry from
 the scoring rule alone and exists purely as a verification oracle for small
 n.
@@ -41,12 +71,20 @@ __all__ = [
     "DegenerateBalanceError",
     "compute_alpha",
     "make_params",
+    "dense_product_wins",
+    "permutation_objective",
     "dense_alignment_matrix",
     "quadratic_form",
 ]
 
 DEFAULT_EPSILON = 0.001
 DENSE_ORACLE_CAP = 12
+# `apply` dispatch (see the module docstring): the dense factored product is
+# taken up to DENSE_ALWAYS_N vertices, and up to DENSE_MAX_N vertices when
+# (nnz1 + nnz2) / n² >= DENSE_MIN_FILL.
+DENSE_ALWAYS_N = 200
+DENSE_MAX_N = 1000
+DENSE_MIN_FILL = 0.1
 
 
 class DegenerateBalanceError(ValueError):
@@ -104,6 +142,12 @@ def compute_alpha(g1: Graph, g2: Graph) -> float:
     return 1.0 + matches / mismatches
 
 
+def dense_product_wins(n: int, nnz: int) -> bool:
+    """Whether `apply` takes the dense factored product for graphs on n
+    vertices with nnz stored adjacency entries between them."""
+    return n <= DENSE_ALWAYS_N or (n <= DENSE_MAX_N and nnz >= DENSE_MIN_FILL * n * n)
+
+
 def _csr_product(a: sp.csr_array, x: np.ndarray) -> np.ndarray:
     """`a @ x` for a float64 CSR matrix and a float64 vector or matrix.
 
@@ -131,8 +175,9 @@ def _csr_product(a: sp.csr_array, x: np.ndarray) -> np.ndarray:
 class AlignmentOperator:
     """Matrix-free symmetric positive operator on length-n² vectors.
 
-    Immutable after construction; `apply` and `permutation_product` are pure
-    functions and safe to call concurrently.
+    Immutable after construction (the dense factors are built on first use);
+    `apply` and `permutation_product` are pure functions and safe to call
+    concurrently. `dense` tells which product `apply` takes.
     """
 
     def __init__(self, g1: Graph, g2: Graph, params: ScoringParams):
@@ -148,6 +193,7 @@ class AlignmentOperator:
         p = params
         self._k_quad = p.s1 + p.s2 - 2.0 * p.s3
         self._k_lin = p.s3 - p.s2
+        self.dense = dense_product_wins(self.n, self._a1.nnz + self._a2.nnz)
 
     # Built on first use, so only `permutation_product` callers pay for them.
     @cached_property
@@ -160,13 +206,33 @@ class AlignmentOperator:
         deg2 = self.g2.degree_sequence().astype(np.float64)
         return self._k_lin * (deg1[:, None] + deg2[None, :])
 
+    # Built on the first dense `apply`: (k M1, M2, d) with M_i = G_i + c J.
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, float]:
+        k = self._k_quad
+        c = self._k_lin / k
+        d = self.params.s2 - self._k_lin ** 2 / k
+        return k * (self.g1.adjacency + c), self.g2.adjacency + c, d
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Operator-vector product without materializing the matrix."""
-        v = np.asarray(v, dtype=np.float64)
+        """Operator-vector product without materializing the matrix, by the
+        dense factored or the sparse product as `dense` says."""
+        v = np.ascontiguousarray(v, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"vector must have length {self.dim}, got shape {v.shape}")
-        n = self.n
-        V = v.reshape(n, n)
+        V = v.reshape(self.n, self.n)
+        U = self._dense_product(V) if self.dense else self._sparse_product(V)
+        return U.reshape(self.dim)
+
+    def _dense_product(self, V: np.ndarray) -> np.ndarray:
+        """A v as the n x n matrix (k M1) V M2 + d * sum(V)."""
+        m1, m2, d = self._factors
+        U = m1 @ V @ m2
+        U += d * V.sum()
+        return U
+
+    def _sparse_product(self, V: np.ndarray) -> np.ndarray:
+        """A v as an n x n matrix from sparse products and rank-one terms."""
         # Quadratic term: G1 V G2 via two sparse-dense products; V G2 is taken
         # as (G2 (G1 V)^T)^T since G2 is symmetric, which adds the same terms
         # in the same order without transposing G2 on every call. U is built
@@ -182,14 +248,15 @@ class AlignmentOperator:
         col = _csr_product(self._a2, V.sum(axis=0))
         U += self._k_lin * (row[:, None] + col[None, :])
         U += self.params.s2 * V.sum()
-        return U.reshape(self.dim)
+        return U
 
     def permutation_product(self, perm: Permutation) -> np.ndarray:
-        """`apply(permutation_vector(n, perm))` as an n x n matrix, bit for bit.
+        """The sparse product of `permutation_vector(n, perm)` as an n x n
+        matrix, bit for bit, whichever product `apply` takes.
 
         G1 V G2 = G1 @ G2[perm] holds integer counts, so one sparse-dense
-        product gives exactly what `apply` computes in two; the degree and
-        constant terms then follow in `apply`'s order of operations.
+        product gives exactly what the sparse product computes in two; the
+        degree and constant terms then follow in its order of operations.
         """
         if len(perm) != self.n:
             raise ValueError(f"permutation length {len(perm)} != operator size {self.n}")
@@ -199,16 +266,24 @@ class AlignmentOperator:
         return U
 
     def matched_objective(self, matched: int) -> float:
-        """y^T A y of any permutation that matches `matched` edges.
+        """y^T A y of any permutation that matches `matched` edges
+        (`permutation_objective` of this operator's scores and graphs)."""
+        return permutation_objective(self.params, self.g1.edge_count,
+                                     self.g2.edge_count, self.n, matched)
 
-        Of the n² entries of A that y selects, 2M are edge matches,
-        2e1 + 2e2 - 4M are mismatches and the rest are non-edge matches, so
-        the value is strictly increasing in M = `matched` (s1 + s2 > 2 s3).
-        """
-        e1, e2 = self.g1.edge_count, self.g2.edge_count
-        p = self.params
-        return (p.s1 * (2 * matched) + p.s3 * (2 * e1 + 2 * e2 - 4 * matched)
-                + p.s2 * (self.dim - 2 * e1 - 2 * e2 + 2 * matched))
+
+def permutation_objective(params: ScoringParams, e1: int, e2: int, n: int,
+                          matched: int) -> float:
+    """y^T A y of any permutation of n vertices that matches `matched` edges,
+    for graphs with e1 and e2 edges scored by `params`.
+
+    Of the n² entries of A that y selects, 2M are edge matches,
+    2e1 + 2e2 - 4M are mismatches and the rest are non-edge matches, so
+    the value is strictly increasing in M = `matched` (s1 + s2 > 2 s3).
+    """
+    p = params
+    return (p.s1 * (2 * matched) + p.s3 * (2 * e1 + 2 * e2 - 4 * matched)
+            + p.s2 * (n * n - 2 * e1 - 2 * e2 + 2 * matched))
 
 
 def quadratic_form(op: AlignmentOperator, perm: Permutation) -> float:

@@ -5,6 +5,7 @@ enumeration, dense linear algebra. Nothing imports the code paths it checks.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,6 +88,51 @@ def greedy_round_by_hand(scores):
         taken_rows.add(i)
         taken_cols.add(j)
     return np.array([mapping[i] for i in range(n)])
+
+
+def top_eigenpair_closed_form(adj1, adj2, s1, s2, s3):
+    """Dominant eigenpair of the scoring matrix from two n x n eigensolves.
+
+    The scoring matrix is A = k M1 (x) M2 + d 11^T with k = s1 + s2 - 2 s3,
+    M_i = G_i + c J, c = (s3 - s2) / k and d = s2 - (s3 - s2)^2 / k > 0.
+    With M1 = U diag(lam) U^T, M2 = W diag(nu) W^T, a = U^T 1 and b = W^T 1,
+    the top eigenvalue mu is the root above max k lam_i nu_j of the secular
+    equation 1 = d sum_ij a_i^2 b_j^2 / (mu - k lam_i nu_j), and the
+    eigenvector is U F W^T with F_ij = a_i b_j / (mu - k lam_i nu_j) (Golub
+    1973, "Some modified matrix eigenvalue problems"). No power iteration
+    and no n^2 x n^2 matrix: usable well beyond the dense oracle's cap.
+    Returns (mu, V): V is the unit-norm eigenvector as an n x n matrix,
+    entrywise nonnegative up to roundoff.
+    """
+    k = s1 + s2 - 2.0 * s3
+    c = (s3 - s2) / k
+    d = s2 - (s3 - s2) ** 2 / k
+    lam, U = np.linalg.eigh(np.asarray(adj1, dtype=np.float64) + c)
+    nu, W = np.linalg.eigh(np.asarray(adj2, dtype=np.float64) + c)
+    a, b = U.sum(axis=0), W.sum(axis=0)
+    poles = k * np.outer(lam, nu)
+    weights = d * np.outer(a * a, b * b)
+
+    # The secular function increases from -inf just above the top pole to a
+    # nonnegative value at top + sum(weights); bisect down to adjacent floats.
+    lo = float(poles.max())
+    hi = lo + 2.0 * float(weights.sum()) + 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        with np.errstate(divide="ignore"):
+            below = float((weights / (mid - poles)).sum()) > 1.0
+        lo, hi = (mid, hi) if below else (lo, mid)
+    mu = hi
+    V = U @ (np.outer(a, b) / (mu - poles)) @ W.T
+    V /= np.linalg.norm(V)
+    return mu, V if V.sum() >= 0 else -V
+
+
+def assignment_score(scores, mapping):
+    """sum_i scores[i, mapping[i]], correctly rounded (math.fsum)."""
+    return math.fsum(float(scores[i, j]) for i, j in enumerate(mapping))
 
 
 # Earlier versions of the planted-trial path, kept as bit-for-bit references

@@ -110,6 +110,7 @@ class TestSweep:
         (["--eigen-tol", "0"], "eigen_tol"),
         (["--epsilon", "nan"], "epsilon"),
         (["--epsilon", "inf"], "epsilon"),
+        (["--n", "100000000"], "n must be at most 10000"),
     ])
     def test_bad_grid_or_config_exits_2(self, tmp_path, capsys, flags, message):
         csv_path = tmp_path / "x.csv"

@@ -4,8 +4,11 @@ import io
 import numpy as np
 import pytest
 
+import netalign.align as align
 import netalign.harness as harness
+import netalign.operator as operator
 from netalign.align import build_operator, eigen_align, projected_power_align
+from netalign.graphs import MAX_EDGE_LIST_VERTICES
 from netalign.harness import (ALGORITHMS, CSV_HEADER, CellSummary, GridSpec,
                               TrialRecord, TrialSpec, derive_stream,
                               make_instance, mix64, read_csv, render_heatmap,
@@ -13,6 +16,15 @@ from netalign.harness import (ALGORITHMS, CSV_HEADER, CellSummary, GridSpec,
                               write_heatmap_legend, STREAM_GRAPH, STREAM_NOISE,
                               STREAM_PERM)
 from netalign.operator import quadratic_form
+from netalign.rounding import max_weight_matching
+from netalign.spectral import top_eigenvector
+
+import oracles
+
+# The grid of `test_sweep_bytes_pinned`.
+PINNED_GRID = GridSpec(n_list=(10, 20, 30),
+                       lambda_list=(0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5),
+                       p=0.2, trials=3, base_seed=3)
 
 
 class TestStreamDerivation:
@@ -97,6 +109,30 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             TrialSpec(n=5, p=1.2, lam=0.0, trial_index=0, base_seed=0,
                       algorithm="ppa")
+        with pytest.raises(ValueError, match="n must be at most"):
+            TrialSpec(n=MAX_EDGE_LIST_VERTICES + 1, p=0.2, lam=0.0, trial_index=0,
+                      base_seed=0, algorithm="ppa")
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_one_operator_per_trial(self, monkeypatch, algorithm):
+        # The planted permutation is scored in closed form, so the matcher's
+        # operator is the only one built.
+        built = []
+        real = align.build_operator
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(align, "build_operator", counting)
+        monkeypatch.setattr(harness, "build_operator", counting)
+        rec = run_trial(TrialSpec(n=9, p=0.4, lam=0.1, trial_index=6, base_seed=13,
+                                  algorithm=algorithm))
+        assert len(built) == 1
+        g1, g2, planted = make_instance(9, 0.4, 0.1, 6, 13)
+        result = harness._run_algorithm(algorithm, g1, g2, harness.AlignConfig())
+        planted_objective = quadratic_form(real(g1, g2), planted)
+        assert rec.objective_ratio == harness._round6(result.objective / planted_objective)
 
 
 class TestRunGrid:
@@ -186,13 +222,49 @@ class TestRunGrid:
     def test_sweep_bytes_pinned(self):
         # Small-n grids are full of score ties, so any change to the order of
         # floating-point operations in the matchers tends to show up here.
-        grid = GridSpec(n_list=(10, 20, 30),
-                        lambda_list=(0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5),
-                        p=0.2, trials=3, base_seed=3)
+        # The grid runs on the dense product; where its EigenAlign
+        # permutations differ from the sparse product's they tie (next test).
         sink = io.StringIO()
-        write_csv(run_grid(grid), sink)
+        write_csv(run_grid(PINNED_GRID), sink)
+        assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == (
+            "70ed35506b0cc56cd27f4ad5629f2a1961949daf20c72e7d209983693a9f56d5")
+
+    def test_sweep_bytes_pinned_on_sparse_product(self, monkeypatch):
+        # The same grid with every operator on the sparse product gives the
+        # bytes it gave before the dense product existed.
+        monkeypatch.setattr(operator, "dense_product_wins", lambda n, nnz: False)
+        sink = io.StringIO()
+        write_csv(run_grid(PINNED_GRID), sink)
         assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == (
             "a4937d3e2d3c789215eecda9656fe6cbf2be238149b0adb23606353f80cffc1a")
+
+    def test_dense_product_moves_only_tied_eigenalign_permutations(self):
+        # EigenAlign on the pinned grid with the dense and the sparse product:
+        # wherever the two permutations differ, they score within 4 ulps of
+        # each other on the exact top eigenvector (oracle), i.e. they tie.
+        changed = 0
+        for n in PINNED_GRID.n_list:
+            for lam in PINNED_GRID.lambda_list:
+                for trial in range(PINNED_GRID.trials):
+                    g1, g2, _ = make_instance(n, PINNED_GRID.p, lam, trial,
+                                              PINNED_GRID.base_seed)
+                    perms = []
+                    for dense in (True, False):
+                        op = build_operator(g1, g2)
+                        assert op.dense
+                        op.dense = dense
+                        vector = top_eigenvector(op).vector.reshape(n, n)
+                        perms.append(max_weight_matching(vector).map)
+                    if np.array_equal(*perms):
+                        continue
+                    changed += 1
+                    p = op.params
+                    _, exact = oracles.top_eigenpair_closed_form(
+                        g1.adjacency, g2.adjacency, p.s1, p.s2, p.s3)
+                    scores = [oracles.assignment_score(exact, m) for m in perms]
+                    assert abs(scores[0] - scores[1]) <= 4 * np.spacing(max(scores)), \
+                        (n, lam, trial)
+        assert changed >= 1  # rounding differs somewhere on a grid this tie-heavy
 
     def test_monotone_noise_trend(self):
         grid = GridSpec(n_list=(12,), lambda_list=(0.0, 0.3), p=0.2,
@@ -232,6 +304,9 @@ class TestRunGrid:
         for lam in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="lambda must lie"):
                 GridSpec(n_list=(5,), lambda_list=(0.0, lam), p=0.2)
+        with pytest.raises(ValueError, match="n must be at most"):
+            GridSpec(n_list=(5, MAX_EDGE_LIST_VERTICES + 1), lambda_list=(0.1,), p=0.2)
+        GridSpec(n_list=(MAX_EDGE_LIST_VERTICES,), lambda_list=(0.1,), p=0.2)
 
 
 class TestSummarize:

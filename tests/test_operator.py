@@ -12,7 +12,8 @@ from netalign import operator
 from netalign.harness import make_instance
 from netalign.operator import (AlignmentOperator, DegenerateBalanceError,
                                ScoringParams, compute_alpha,
-                               dense_alignment_matrix, make_params,
+                               dense_alignment_matrix, dense_product_wins,
+                               make_params, permutation_objective,
                                permutation_vector, quadratic_form)
 
 import oracles
@@ -25,6 +26,11 @@ def empty_graph(n):
 def random_pair(n, seed, p=0.5):
     return (generate_er(n, p, RngSeed(seed, 1)),
             generate_er(n, p, RngSeed(seed, 2)))
+
+
+def sparse_product(op, v):
+    """The operator's sparse product of v, whichever product `apply` takes."""
+    return op._sparse_product(np.asarray(v, dtype=np.float64).reshape(op.n, op.n)).reshape(-1)
 
 
 class TestComputeAlpha:
@@ -249,10 +255,11 @@ class TestPermutationProduct:
     @example((complete_graph(4), empty_graph(4), Permutation([2, 0, 3, 1])))
     @settings(max_examples=150, deadline=None)
     def test_bitwise_equal_to_apply(self, case):
+        # The sparse product, which `apply` takes above the dense sizes.
         g1, g2, sigma = case
         op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
         n = op.n
-        expected = op.apply(permutation_vector(n, sigma)).reshape(n, n)
+        expected = sparse_product(op, permutation_vector(n, sigma)).reshape(n, n)
         assert np.array_equal(op.permutation_product(sigma), expected)
 
     def test_size_mismatch(self):
@@ -297,8 +304,9 @@ def assert_same_bytes(got, expected):
 
 
 class TestCsrKernels:
-    """`apply` and `permutation_product` call scipy's CSR kernels directly;
-    they equal the public-`@` versions (`oracles`) byte for byte."""
+    """The sparse product and `permutation_product` call scipy's CSR kernels
+    directly; they equal the public-`@` versions (`oracles`) byte for byte.
+    `apply` is pinned on operators that take the sparse product."""
 
     @given(operator_and_vector())
     @example((AlignmentOperator(empty_graph(1), empty_graph(1), make_params(1.0)),
@@ -308,6 +316,7 @@ class TestCsrKernels:
     @settings(max_examples=200, deadline=None)
     def test_apply_bitwise_equal_to_public_matmul(self, case):
         op, v, use_strided = case
+        op.dense = False
         arg = strided(v) if use_strided else v
         assert_same_bytes(op.apply(arg), oracles.apply_public_matmul(op, v))
 
@@ -323,9 +332,11 @@ class TestCsrKernels:
         g1, g2 = random_pair(6, 40)
         op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
         v = np.linspace(-1.0, 1.0, 36)
-        w = op.apply(v)
-        assert w.shape == (36,) and w.flags.c_contiguous and w.flags.writeable
-        assert not np.shares_memory(w, v)
+        for dense in (True, False):
+            op.dense = dense
+            w = op.apply(v)
+            assert w.shape == (36,) and w.flags.c_contiguous and w.flags.writeable
+            assert not np.shares_memory(w, v)
 
     def test_kernels_receive_c_order_operands(self, monkeypatch):
         # scipy's private wrapper happens to copy a strided operand itself;
@@ -352,12 +363,74 @@ class TestCsrKernels:
     def test_sparse_planted_pair_n600(self, trial):
         g1, g2, _ = make_instance(600, 0.0125, 0.001, trial, 7)
         op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
+        assert not op.dense
         v = RngSeed(600, trial).generator().random(op.dim)
         assert_same_bytes(op.apply(v), oracles.apply_public_matmul(op, v))
         assert_same_bytes(op.apply(strided(v)), oracles.apply_public_matmul(op, v))
         sigma = random_permutation(600, RngSeed(601, trial))
         assert_same_bytes(op.permutation_product(sigma),
                           oracles.permutation_product_public_matmul(op, sigma.map))
+
+
+class TestDenseProduct:
+    """`apply`'s dense factored product (k M1) V M2 + d * sum(V) equals the
+    sparse product up to rounding, and the dispatch picks it where it wins."""
+
+    @given(operator_and_vector())
+    @example((AlignmentOperator(empty_graph(1), empty_graph(1), make_params(1.0)),
+              np.array([-2.5]), True))
+    @example((AlignmentOperator(complete_graph(7), empty_graph(7), make_params(3.0)),
+              RngSeed(1, 1).generator().standard_normal(49), True))
+    @example((AlignmentOperator(complete_graph(12), complete_graph(12), make_params(50.0)),
+              RngSeed(2, 1).generator().standard_normal(144), False))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_sparse_product(self, case):
+        op, v, use_strided = case
+        assert op.dense
+        got = op.apply(strided(v) if use_strided else v)
+        expected = sparse_product(op, v)
+        # Relative to A|v| (A is entrywise positive), the scale of the
+        # rounding error of either product; A v itself can cancel.
+        scale = np.linalg.norm(sparse_product(op, np.abs(v)))
+        assert np.linalg.norm(got - expected) <= 1e-14 * max(scale, 1e-300)
+        assert_same_bytes(got, op.apply(v))  # memory layout does not matter
+
+    def test_factors_rebuild_the_dense_oracle(self):
+        g1, g2 = random_pair(5, 84)
+        params = make_params(compute_alpha(g1, g2))
+        op = AlignmentOperator(g1, g2, params)
+        km1, m2, d = op._factors
+        rebuilt = np.kron(km1, m2) + d
+        dense = dense_alignment_matrix(g1, g2, params)
+        np.testing.assert_allclose(rebuilt, dense, rtol=0, atol=1e-14 * dense.max())
+        assert d > 0
+
+    @pytest.mark.parametrize("n", [10, 20, 30, 40, 50])
+    def test_sweep_sizes_take_dense(self, n):
+        g1, g2, _ = make_instance(n, 0.2, 0.05, 0, 7)
+        assert AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2))).dense
+
+    def test_sparse_n600_takes_sparse(self):
+        g1, g2, _ = make_instance(600, 0.0125, 0.001, 0, 7)
+        assert not AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2))).dense
+
+    def test_dispatch_rule(self):
+        big = operator.DENSE_ALWAYS_N + 1
+        assert dense_product_wins(1, 0) and dense_product_wins(operator.DENSE_ALWAYS_N, 0)
+        fill = operator.DENSE_MIN_FILL * big * big
+        assert not dense_product_wins(big, int(fill) - 1)
+        assert dense_product_wins(big, int(np.ceil(fill)))
+        # Never above the size bound, not even for complete graphs.
+        top = operator.DENSE_MAX_N
+        assert dense_product_wins(top, 2 * top * (top - 1))
+        assert not dense_product_wins(top + 1, 2 * (top + 1) * top)
+
+    def test_sparse_operator_builds_no_factors(self):
+        g1, g2, _ = make_instance(600, 0.0125, 0.001, 0, 7)
+        op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
+        op.apply(np.ones(op.dim))
+        op.permutation_product(Permutation.identity(600))
+        assert "_factors" not in vars(op)
 
 
 class TestQuadraticForm:
@@ -411,6 +484,14 @@ class TestQuadraticForm:
         op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
         with pytest.raises(ValueError):
             quadratic_form(op, Permutation.identity(5))
+
+    @pytest.mark.parametrize("n,seed", [(5, 120), (9, 121)])
+    def test_free_closed_form_is_the_method(self, n, seed):
+        g1, g2 = random_pair(n, seed, 0.4)
+        op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
+        for matched in range(min(g1.edge_count, g2.edge_count) + 1):
+            value = permutation_objective(op.params, g1.edge_count, g2.edge_count, n, matched)
+            assert np.float64(value).tobytes() == np.float64(op.matched_objective(matched)).tobytes()
 
     def test_permutation_vector_layout(self):
         y = permutation_vector(3, Permutation([1, 2, 0]))

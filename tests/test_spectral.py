@@ -66,6 +66,38 @@ class TestAgainstDenseSolver:
             checked += 1
 
 
+class TestClosedFormOracle:
+    """`oracles.top_eigenpair_closed_form` (two n x n eigensolves and the
+    secular equation) against a dense eigensolver of the loop-built matrix."""
+
+    @pytest.mark.parametrize("n,p,seed", [(1, 0.5, 0), (2, 0.9, 1), (5, 0.3, 2), (8, 0.2, 3),
+                                          (12, 0.2, 4), (12, 0.5, 5), (12, 0.9, 6)])
+    def test_matches_dense_eigh(self, n, p, seed):
+        g1 = generate_er(n, p, RngSeed(seed, 1))
+        g2 = generate_er(n, p, RngSeed(seed, 2))
+        params = make_params(compute_alpha(g1, g2) if g1.edge_count + g2.edge_count else 1.0)
+        dense = dense_alignment_matrix(g1, g2, params)
+        values, vectors = np.linalg.eigh(dense)
+        top = vectors[:, -1] * np.sign(vectors[:, -1].sum())
+        mu, V = oracles.top_eigenpair_closed_form(g1.adjacency, g2.adjacency,
+                                                  params.s1, params.s2, params.s3)
+        v = V.reshape(-1)
+        assert abs(mu - values[-1]) <= 1e-14 * values[-1]
+        assert np.linalg.norm(dense @ v - mu * v) <= 1e-14 * mu
+        # Either vector is accurate to about eps / (relative spectral gap).
+        gap = (values[-1] - values[-2]) / values[-1] if n > 1 else 1.0
+        assert np.abs(v - top).max() <= 1e-14 / gap
+
+    def test_planted_n30_against_power_iteration(self):
+        op = planted_operator(30, 0.2, 0.1, 705)
+        res = top_eigenvector(op, tol=1e-13, max_iters=5000)
+        p = op.params
+        mu, V = oracles.top_eigenpair_closed_form(op.g1.adjacency, op.g2.adjacency,
+                                                  p.s1, p.s2, p.s3)
+        assert res.value == pytest.approx(mu, rel=1e-13)
+        assert np.abs(res.vector - V.reshape(-1)).max() <= 1e-11
+
+
 class TestIterationContract:
     def test_unit_norm_and_nonnegative(self):
         op, _ = random_operator(5, 101)
@@ -157,22 +189,28 @@ class TestAgainstEarlierImplementation:
 
 class TestProduct:
     """`EigenResult.product` is `op.apply(vector)` byte for byte, read-only,
-    and left out of `==`."""
+    and left out of `==`. On the sparse product it is also the public-`@`
+    product."""
 
     @pytest.mark.parametrize("case", ["residual-exit", "diff-exit", "cap-exit", "n600"])
     def test_equals_apply_of_vector(self, case):
-        op, tol, max_iters = {
-            "residual-exit": (empty_pair_operator(4), DEFAULT_TOL, DEFAULT_MAX_ITERS),
-            "diff-exit": (planted_operator(10, 0.2, 0.05, 700), DEFAULT_TOL, DEFAULT_MAX_ITERS),
-            "cap-exit": (planted_operator(6, 0.5, 0.1, 703), 1e-15, 3),
-            "n600": (planted_operator(600, 0.0125, 0.001, 704), DEFAULT_TOL,
+        make, tol, max_iters = {
+            "residual-exit": (lambda: empty_pair_operator(4), DEFAULT_TOL, DEFAULT_MAX_ITERS),
+            "diff-exit": (lambda: planted_operator(10, 0.2, 0.05, 700), DEFAULT_TOL,
+                          DEFAULT_MAX_ITERS),
+            "cap-exit": (lambda: planted_operator(6, 0.5, 0.1, 703), 1e-15, 3),
+            "n600": (lambda: planted_operator(600, 0.0125, 0.001, 704), DEFAULT_TOL,
                      DEFAULT_MAX_ITERS),
         }[case]
-        res = top_eigenvector(op, tol=tol, max_iters=max_iters)
-        assert res.converged == (case != "cap-exit")
-        assert res.product.tobytes() == op.apply(res.vector).tobytes()
+        default, sparse = make(), make()
+        sparse.dense = False
+        assert default.dense == (case != "n600")
+        for op in (default, sparse):
+            res = top_eigenvector(op, tol=tol, max_iters=max_iters)
+            assert res.converged == (case != "cap-exit")
+            assert res.product.tobytes() == op.apply(res.vector).tobytes()
+            assert not res.product.flags.writeable
         assert res.product.tobytes() == oracles.apply_public_matmul(op, res.vector).tobytes()
-        assert not res.product.flags.writeable
 
     def test_recomputed_after_clamping(self):
         # One step from a start whose image has negative entries: the clamp
