@@ -21,22 +21,21 @@ and `apply` computes A v in one of two ways, chosen once per operator:
   two n x n GEMMs and a sum, O(n^3) per apply. k M1 and M2 are built on
   the first dense apply and kept.
 
-`dense_product_wins` picks the product from n and the graphs' stored
-entries nnz1 + nnz2 alone. Measured per apply with one BLAS thread (2-core
-Xeon, AVX-512 OpenBLAS), sparse time over dense time:
-
-    n <= 50        2.2-3.0 at every fill (nnz1 + nnz2) / n²
-    n = 100        0.9-1.1 at fill <= 0.05, 1.4-2.1 at fill >= 0.1
-    n = 150-200    1.1-1.5 at fill <= 0.05, more above
-    n = 250-1000   0.5-0.8 at fill 0.02, about 1 at 0.1, 1.3-1.6 at 0.2
-
-so the dense product is taken for n <= `DENSE_ALWAYS_N`, and for
-n <= `DENSE_MAX_N` once the fill reaches `DENSE_MIN_FILL`. `DENSE_MAX_N`
-keeps the two cached factors at 16 MB or less. The `match` path at n = 600,
-p = 0.0125 (fill 0.025) stays sparse. The two products agree to rounding
-(~2e-16 relative) but not bit for bit, and the dense one's last bits depend
-on the BLAS build and its kernels; on tie-heavy inputs that can move an
-eigenvector's rounding to a permutation.
+`apply` takes the dense product for n <= `DENSE_MAX_N` and the sparse one
+above, whatever the fill. The bound is the largest n that a benchmark
+workload runs (the reduced sweep, n <= 50). Measured per apply (2-core Xeon,
+AVX-512 OpenBLAS), sparse time over dense time is 2.2-3.0 at n <= 50 at
+every fill (nnz1 + nnz2) / n², and the `match` path at n = 600, p = 0.0125
+is no faster dense (22.5 vs 21.0 ms). At n <= 50 the two GEMMs take the
+same time with one or two OpenBLAS threads (OpenBLAS keeps a GEMM this
+small on one thread), so the CLI's default BLAS threads do not move that
+crossover. Between those sizes the ratio depends on n and the
+fill (0.9-1.1 at n = 100 and fill <= 0.05, 0.5-0.8 at n >= 250 and fill
+0.02, above 1 again at fill 0.2), and no workload measures it end to end
+yet. The two products agree to rounding (~2e-16 relative) but not bit for
+bit, and the dense one's last bits depend on the BLAS build and its
+kernels; on tie-heavy inputs that can move an eigenvector's rounding to a
+permutation.
 
 For the 0/1 vectorization of a permutation pi, G1 V G2 = G1 @ G2[pi] and the
 row and column sums of V are all ones, so `permutation_product` needs one
@@ -71,7 +70,6 @@ __all__ = [
     "DegenerateBalanceError",
     "compute_alpha",
     "make_params",
-    "dense_product_wins",
     "permutation_objective",
     "dense_alignment_matrix",
     "quadratic_form",
@@ -79,12 +77,9 @@ __all__ = [
 
 DEFAULT_EPSILON = 0.001
 DENSE_ORACLE_CAP = 12
-# `apply` dispatch (see the module docstring): the dense factored product is
-# taken up to DENSE_ALWAYS_N vertices, and up to DENSE_MAX_N vertices when
-# (nnz1 + nnz2) / n² >= DENSE_MIN_FILL.
-DENSE_ALWAYS_N = 200
-DENSE_MAX_N = 1000
-DENSE_MIN_FILL = 0.1
+# `apply` takes the dense factored product up to DENSE_MAX_N vertices (see
+# the module docstring).
+DENSE_MAX_N = 50
 
 
 class DegenerateBalanceError(ValueError):
@@ -142,12 +137,6 @@ def compute_alpha(g1: Graph, g2: Graph) -> float:
     return 1.0 + matches / mismatches
 
 
-def dense_product_wins(n: int, nnz: int) -> bool:
-    """Whether `apply` takes the dense factored product for graphs on n
-    vertices with nnz stored adjacency entries between them."""
-    return n <= DENSE_ALWAYS_N or (n <= DENSE_MAX_N and nnz >= DENSE_MIN_FILL * n * n)
-
-
 def _csr_product(a: sp.csr_array, x: np.ndarray) -> np.ndarray:
     """`a @ x` for a float64 CSR matrix and a float64 vector or matrix.
 
@@ -177,7 +166,7 @@ class AlignmentOperator:
 
     Immutable after construction (the dense factors are built on first use);
     `apply` and `permutation_product` are pure functions and safe to call
-    concurrently. `dense` tells which product `apply` takes.
+    concurrently. `apply` takes the dense product iff n <= `DENSE_MAX_N`.
     """
 
     def __init__(self, g1: Graph, g2: Graph, params: ScoringParams):
@@ -193,7 +182,7 @@ class AlignmentOperator:
         p = params
         self._k_quad = p.s1 + p.s2 - 2.0 * p.s3
         self._k_lin = p.s3 - p.s2
-        self.dense = dense_product_wins(self.n, self._a1.nnz + self._a2.nnz)
+        self._dense = self.n <= DENSE_MAX_N
 
     # Built on first use, so only `permutation_product` callers pay for them.
     @cached_property
@@ -216,12 +205,13 @@ class AlignmentOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Operator-vector product without materializing the matrix, by the
-        dense factored or the sparse product as `dense` says."""
-        v = np.ascontiguousarray(v, dtype=np.float64)
+        dense factored product for n <= `DENSE_MAX_N`, else the sparse one."""
+        v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"vector must have length {self.dim}, got shape {v.shape}")
-        V = v.reshape(self.n, self.n)
-        U = self._dense_product(V) if self.dense else self._sparse_product(V)
+        # C order first, so strided and contiguous inputs give the same bytes.
+        V = np.ascontiguousarray(v).reshape(self.n, self.n)
+        U = self._dense_product(V) if self._dense else self._sparse_product(V)
         return U.reshape(self.dim)
 
     def _dense_product(self, V: np.ndarray) -> np.ndarray:

