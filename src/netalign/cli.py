@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .align import AlignConfig, eigen_align, projected_power_align
@@ -21,35 +22,35 @@ from .selftest import run_all_suites
 __all__ = ["main"]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("list must be non-empty")
-    return values
+def _list_parser(convert, kind: str):
+    """An argparse type for a non-empty comma list of `convert`ed values."""
+    def parse(text: str) -> list:
+        try:
+            values = [convert(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}, got {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError("list must be non-empty")
+        return values
+    return parse
 
 
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("list must be non-empty")
-    return values
+_parse_int_list = _list_parser(int, "integers")
+_parse_float_list = _list_parser(float, "reals")
+
+_GRID_DEFAULTS = {f.name: f.default for f in fields(GridSpec)}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float, default=0.001,
-                        help="scoring regularizer (default 0.001)")
-    parser.add_argument("--eigen-tol", type=float, default=1e-8,
-                        help="power iteration tolerance (default 1e-8)")
-    parser.add_argument("--eigen-max-iters", type=int, default=1000,
-                        help="power iteration cap (default 1000)")
-    parser.add_argument("--ppa-max-iters", type=int, default=30,
-                        help="projected power iteration cap (default 30)")
+    defaults = AlignConfig()
+    parser.add_argument("--epsilon", type=float, default=defaults.epsilon,
+                        help="scoring regularizer (default %(default)s)")
+    parser.add_argument("--eigen-tol", type=float, default=defaults.eigen_tol,
+                        help="power iteration tolerance (default %(default)s)")
+    parser.add_argument("--eigen-max-iters", type=int, default=defaults.eigen_max_iters,
+                        help="power iteration cap (default %(default)s)")
+    parser.add_argument("--ppa-max-iters", type=int, default=defaults.ppa_max_iters,
+                        help="projected power iteration cap (default %(default)s)")
 
 
 def _config_from(args: argparse.Namespace) -> AlignConfig:
@@ -72,9 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lambda", dest="lambdas", type=_parse_float_list,
                        default=[round(0.05 * k, 2) for k in range(11)],
                        help="comma list of noise levels (default 0,0.05,...,0.5)")
-    sweep.add_argument("--trials", type=int, default=20,
-                       help="trials per grid cell (default 20)")
-    sweep.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    sweep.add_argument("--trials", type=int, default=_GRID_DEFAULTS["trials"],
+                       help="trials per grid cell (default %(default)s)")
+    sweep.add_argument("--seed", type=int, default=_GRID_DEFAULTS["base_seed"],
+                       help="base seed (default %(default)s)")
     sweep.add_argument("--algo", choices=["eigenalign", "ppa", "both"], default="both")
     sweep.add_argument("--csv", required=True, help="output CSV path")
     sweep.add_argument("--heatmap", default=None,

@@ -5,50 +5,52 @@ The classes follow the scikit-learn parameter protocol (`get_params` /
 trailing underscore) so they compose with ecosystem tooling such as
 ``sklearn.base.clone`` and grid-search style sweeps, without requiring
 scikit-learn itself.
+
+The parameters are the pipeline's `AlignConfig` fields with its defaults
+(``max_iters`` is ``ppa_max_iters``), and their names are read off
+``__init__``. `fit` takes `Graph` objects or anything `Graph(...)` accepts.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
-from .align import (DEFAULT_PPA_MAX_ITERS, AlignConfig, AlignmentResult,
-                    eigen_align, projected_power_align)
-from .operator import DEFAULT_EPSILON
-from .spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL
-from .validation import as_graph, check_equal_sizes
+from .align import AlignConfig, eigen_align, projected_power_align
+from .graphs import Graph
 
 __all__ = ["EigenAlign", "ProjectedPowerAlignment"]
 
+_DEFAULTS = AlignConfig()
+# Estimator parameter -> AlignConfig field, where the two names differ.
+_FIELD_OF = {"max_iters": "ppa_max_iters"}
+
 
 class _BaseAligner:
-    """Shared fit plumbing; subclasses define `_config` and `_run`."""
-
-    _param_names: tuple[str, ...] = ()
+    """Shared fit plumbing; subclasses set `_run` to their pipeline."""
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names}
+        names = inspect.signature(type(self)).parameters  # those of __init__
+        return {name: getattr(self, name) for name in names}
 
     def set_params(self, **params) -> "_BaseAligner":
+        valid = self.get_params()
         for name, value in params.items():
-            if name not in self._param_names:
+            if name not in valid:
                 raise ValueError(
                     f"invalid parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters are {sorted(self._param_names)}")
+                    f"valid parameters are {sorted(valid)}")
             setattr(self, name, value)
         return self
 
-    def _config(self) -> AlignConfig:
-        raise NotImplementedError
-
-    def _run(self, g1, g2, cfg: AlignConfig) -> AlignmentResult:
-        raise NotImplementedError
-
     def fit(self, g1, g2) -> "_BaseAligner":
         """Align two graphs given as Graph objects or 0/1 adjacency matrices."""
-        graph1 = as_graph(g1)
-        graph2 = as_graph(g2)
-        check_equal_sizes(graph1, graph2)
-        result = self._run(graph1, graph2, self._config())
+        graph1 = g1 if isinstance(g1, Graph) else Graph(g1)
+        graph2 = g2 if isinstance(g2, Graph) else Graph(g2)
+        cfg = AlignConfig(**{_FIELD_OF.get(name, name): value
+                             for name, value in self.get_params().items()})
+        result = self._run(graph1, graph2, cfg)
         self.result_ = result
         self.permutation_ = np.array(result.permutation.map)
         self.objective_ = result.objective
@@ -74,45 +76,29 @@ class EigenAlign(_BaseAligner):
     ``matched_edges_``, ``n_iter_``, ``converged_``, ``result_``.
     """
 
-    _param_names = ("epsilon", "eigen_tol", "eigen_max_iters")
+    _run = staticmethod(eigen_align)
 
-    def __init__(self, epsilon: float = DEFAULT_EPSILON,
-                 eigen_tol: float = DEFAULT_TOL,
-                 eigen_max_iters: int = DEFAULT_MAX_ITERS):
+    def __init__(self, epsilon: float = _DEFAULTS.epsilon,
+                 eigen_tol: float = _DEFAULTS.eigen_tol,
+                 eigen_max_iters: int = _DEFAULTS.eigen_max_iters):
         self.epsilon = epsilon
         self.eigen_tol = eigen_tol
         self.eigen_max_iters = eigen_max_iters
-
-    def _config(self) -> AlignConfig:
-        return AlignConfig(epsilon=self.epsilon, eigen_tol=self.eigen_tol,
-                           eigen_max_iters=self.eigen_max_iters)
-
-    def _run(self, g1, g2, cfg: AlignConfig) -> AlignmentResult:
-        return eigen_align(g1, g2, cfg)
 
 
 class ProjectedPowerAlignment(_BaseAligner):
     """Projected power matcher: operator multiplies alternated with greedy
     projection onto permutations, seeded by the dominant eigenvector."""
 
-    _param_names = ("epsilon", "eigen_tol", "eigen_max_iters", "max_iters", "return_best")
+    _run = staticmethod(projected_power_align)
 
-    def __init__(self, epsilon: float = DEFAULT_EPSILON,
-                 eigen_tol: float = DEFAULT_TOL,
-                 eigen_max_iters: int = DEFAULT_MAX_ITERS,
-                 max_iters: int = DEFAULT_PPA_MAX_ITERS,
-                 return_best: bool = True):
+    def __init__(self, epsilon: float = _DEFAULTS.epsilon,
+                 eigen_tol: float = _DEFAULTS.eigen_tol,
+                 eigen_max_iters: int = _DEFAULTS.eigen_max_iters,
+                 max_iters: int = _DEFAULTS.ppa_max_iters,
+                 return_best: bool = _DEFAULTS.return_best):
         self.epsilon = epsilon
         self.eigen_tol = eigen_tol
         self.eigen_max_iters = eigen_max_iters
         self.max_iters = max_iters
         self.return_best = return_best
-
-    def _config(self) -> AlignConfig:
-        return AlignConfig(epsilon=self.epsilon, eigen_tol=self.eigen_tol,
-                           eigen_max_iters=self.eigen_max_iters,
-                           ppa_max_iters=self.max_iters,
-                           return_best=self.return_best)
-
-    def _run(self, g1, g2, cfg: AlignConfig) -> AlignmentResult:
-        return projected_power_align(g1, g2, cfg)

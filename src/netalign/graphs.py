@@ -2,8 +2,9 @@
 
 Graphs are stored as a read-only boolean adjacency matrix (O(1) membership)
 together with a lazily built CSR view (per-vertex sorted neighbor lists) used
-by the alignment operator. All randomness flows through :class:`RngSeed`,
-which keys a counter-based Philox generator, so every generator here is
+by the alignment operator; `Graph(...)` is the one place adjacency input is
+coerced and checked. All randomness flows through :class:`RngSeed`, which
+keys a counter-based Philox generator, so every generator here is
 bit-reproducible across runs and platforms for equal seeds.
 
 Edge-list text format::
@@ -82,15 +83,22 @@ def as_seed(seed: "RngSeed | int") -> RngSeed:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    The adjacency matrix is validated symmetric with a zero diagonal and
-    frozen (writeable=False). Treat instances as value objects; they are safe
-    to share across threads.
+    `adjacency` is a square boolean array, or an array-like (nested lists
+    included) whose entries are all 0 or 1; any other entry (2, 0.5, -1,
+    NaN, a string) raises ValueError rather than being read as an edge. The
+    matrix is validated symmetric with a zero diagonal, copied and frozen
+    (writeable=False). Treat instances as value objects; they are safe to
+    share across threads.
     """
 
     __slots__ = ("_adj", "_edge_count", "_csr", "__weakref__")
 
     def __init__(self, adjacency: np.ndarray):
-        adj = np.asarray(adjacency, dtype=bool)
+        adj = np.asarray(adjacency)
+        if adj.dtype != bool:
+            if adj.dtype.kind not in "iuf" or not np.isin(adj, (0, 1)).all():
+                raise ValueError("adjacency entries must be boolean or 0/1")
+            adj = adj.astype(bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
         if adj.shape[0] == 0:

@@ -341,7 +341,8 @@ def write_csv(records: Sequence[TrialRecord], sink: IO[str]) -> None:
 
 
 def read_csv(source: IO[str]) -> list[TrialRecord]:
-    """Parse the CSV format written by `write_csv`."""
+    """Parse the CSV format written by `write_csv`; a malformed row raises
+    ValueError naming its line."""
     header = source.readline().rstrip("\n")
     if header != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {header!r}")
@@ -353,14 +354,22 @@ def read_csv(source: IO[str]) -> list[TrialRecord]:
         parts = line.split(",")
         if len(parts) != 12:
             raise ValueError(f"line {lineno}: expected 12 fields, got {len(parts)}")
-        records.append(TrialRecord(
-            n=int(parts[0]), p=float(parts[1]), lam=float(parts[2]),
-            algorithm=parts[3], trial_index=int(parts[4]),
-            recovery_fraction=float(parts[5]), exact=parts[6] == "1",
-            matched_edges=int(parts[7]), objective=float(parts[8]),
-            objective_ratio=float(parts[9]), iterations=int(parts[10]),
-            wall_seconds=float(parts[11]),
-        ))
+        if parts[3] not in ALGORITHMS:
+            raise ValueError(f"line {lineno}: algorithm must be one of {ALGORITHMS}, "
+                             f"got {parts[3]!r}")
+        if parts[6] not in ("0", "1"):
+            raise ValueError(f"line {lineno}: exact must be 0 or 1, got {parts[6]!r}")
+        try:
+            records.append(TrialRecord(
+                n=int(parts[0]), p=float(parts[1]), lam=float(parts[2]),
+                algorithm=parts[3], trial_index=int(parts[4]),
+                recovery_fraction=float(parts[5]), exact=parts[6] == "1",
+                matched_edges=int(parts[7]), objective=float(parts[8]),
+                objective_ratio=float(parts[9]), iterations=int(parts[10]),
+                wall_seconds=float(parts[11]),
+            ))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     return records
 
 

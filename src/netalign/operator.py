@@ -105,6 +105,12 @@ class ScoringParams:
             raise ValueError("match scores must exceed the mismatch score")
 
 
+def _check_same_size(g1: Graph, g2: Graph) -> None:
+    """The one size check of a graph pair, for every entry point that scores it."""
+    if g1.n != g2.n:
+        raise ValueError(f"graphs must have the same vertex count, got {g1.n} and {g2.n}")
+
+
 def make_params(alpha: float, epsilon: float = DEFAULT_EPSILON) -> ScoringParams:
     """Build scoring parameters from the balance ratio alpha and regularizer epsilon."""
     alpha = float(alpha)
@@ -124,8 +130,7 @@ def compute_alpha(g1: Graph, g2: Graph) -> float:
     diagonal included (classified as non-edges), so the counts are literally
     the numbers of s1- and s3-entries of the operator.
     """
-    if g1.n != g2.n:
-        raise ValueError(f"graphs differ in size: {g1.n} vs {g2.n}")
+    _check_same_size(g1, g2)
     n2 = g1.n * g1.n
     e1 = 2 * g1.edge_count  # ordered pairs
     e2 = 2 * g2.edge_count
@@ -170,8 +175,7 @@ class AlignmentOperator:
     """
 
     def __init__(self, g1: Graph, g2: Graph, params: ScoringParams):
-        if g1.n != g2.n:
-            raise ValueError(f"graphs differ in size: {g1.n} vs {g2.n}")
+        _check_same_size(g1, g2)
         self.g1 = g1
         self.g2 = g2
         self.params = params
@@ -296,8 +300,7 @@ def dense_alignment_matrix(g1: Graph, g2: Graph, params: ScoringParams,
     Verification oracle only: O(n^4) memory. Kept independent of the
     operator's decomposition on purpose.
     """
-    if g1.n != g2.n:
-        raise ValueError(f"graphs differ in size: {g1.n} vs {g2.n}")
+    _check_same_size(g1, g2)
     n = g1.n
     if n > max_n:
         raise ValueError(f"dense oracle capped at n={max_n}, got n={n}")

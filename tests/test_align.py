@@ -402,6 +402,15 @@ class TestEstimators:
         with pytest.raises(ValueError, match="same vertex count"):
             EigenAlign().fit(np.zeros((3, 3)), np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("cls", [EigenAlign, ProjectedPowerAlignment])
+    @pytest.mark.parametrize("bad", [2, 0.5, -1, np.nan, "1"])
+    def test_rejects_entries_graph_rejects(self, cls, bad):
+        rows = [[0, bad], [bad, 0]]
+        with pytest.raises(ValueError, match="boolean or 0/1"):
+            cls().fit(rows, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="boolean or 0/1"):
+            cls().fit(np.zeros((2, 2)), np.array(rows))
+
     def test_fit_predict_returns_array(self):
         g1 = generate_er(6, 0.5, RngSeed(642, 1))
         g2 = generate_er(6, 0.5, RngSeed(642, 2))
@@ -417,6 +426,34 @@ class TestEstimators:
         assert est.get_params()["max_iters"] == 40
         with pytest.raises(ValueError, match="invalid parameter"):
             est.set_params(bogus=1)
+
+    @pytest.mark.parametrize("est", [EigenAlign(), EigenAlign(epsilon=0.01, eigen_tol=1e-6),
+                                     ProjectedPowerAlignment(),
+                                     ProjectedPowerAlignment(eigen_max_iters=50, max_iters=7,
+                                                             return_best=False)])
+    def test_params_rebuild_an_equal_estimator(self, est):
+        rebuilt = type(est)(**est.get_params())
+        assert rebuilt.get_params() == est.get_params()
+        assert repr(rebuilt) == repr(est)
+
+    def test_defaults_are_align_config_defaults(self):
+        cfg = AlignConfig()
+        eigen = {"epsilon": cfg.epsilon, "eigen_tol": cfg.eigen_tol,
+                 "eigen_max_iters": cfg.eigen_max_iters}
+        assert EigenAlign().get_params() == eigen
+        assert ProjectedPowerAlignment().get_params() == {
+            **eigen, "max_iters": cfg.ppa_max_iters, "return_best": cfg.return_best}
+
+    def test_max_iters_and_return_best_reach_the_pipeline(self):
+        # At this instance the 7-step cap binds and the last iterate is not the best.
+        g1, g2, _ = make_instance(20, 0.2, 0.1, 0, 5)
+        est = ProjectedPowerAlignment(max_iters=7, return_best=False).fit(g1, g2)
+        ref = projected_power_align(g1, g2, AlignConfig(ppa_max_iters=7, return_best=False))
+        best = projected_power_align(g1, g2, AlignConfig(ppa_max_iters=7))
+        assert np.array_equal(est.permutation_, ref.permutation.map)
+        assert (est.objective_, est.matched_edges_, est.n_iter_, est.converged_) == \
+            (ref.objective, ref.matched_edges, 7, False)
+        assert ref.permutation != best.permutation
 
     def test_sklearn_clone_compatible(self):
         sklearn_base = pytest.importorskip("sklearn.base")

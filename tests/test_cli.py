@@ -1,7 +1,9 @@
 import pytest
 
 from netalign import operator
-from netalign.cli import main
+from netalign.align import AlignConfig
+from netalign.cli import _config_from, build_parser, main
+from netalign.harness import GridSpec
 
 
 def run_cli(argv, capsys):
@@ -261,3 +263,13 @@ class TestParser:
     def test_bad_list_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--n", "4,x", "--csv", "out.csv"])
+
+    @pytest.mark.parametrize("argv", [["sweep", "--csv", "out.csv"],
+                                      ["match", "--g1", "a.txt", "--g2", "b.txt"]])
+    def test_default_flags_build_default_config(self, argv):
+        assert _config_from(build_parser().parse_args(argv)) == AlignConfig()
+
+    def test_sweep_trials_and_seed_default_to_grid_spec(self):
+        args = build_parser().parse_args(["sweep", "--csv", "out.csv"])
+        grid = GridSpec(n_list=tuple(args.n), lambda_list=tuple(args.lambdas), p=args.p)
+        assert (args.trials, args.seed) == (grid.trials, grid.base_seed)

@@ -32,6 +32,21 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(np.zeros((2, 3), dtype=bool))
 
+    @pytest.mark.parametrize("bad", [2, 0.5, -1, np.nan, "1"])
+    def test_rejects_entries_other_than_0_or_1(self, bad):
+        rows = [[0, bad], [bad, 0]]
+        for adj in (rows, np.array(rows)):
+            with pytest.raises(ValueError, match="boolean or 0/1"):
+                Graph(adj)
+
+    def test_bool_and_0_1_inputs_give_equal_graphs(self):
+        rows = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        expected = Graph(np.array(rows, dtype=bool))
+        for adj in (rows, [[bool(x) for x in row] for row in rows],
+                    np.array(rows), np.array(rows, dtype=np.uint8),
+                    np.array(rows, dtype=float)):
+            assert Graph(adj) == expected
+
     def test_adjacency_is_frozen(self):
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(ValueError):

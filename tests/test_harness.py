@@ -386,6 +386,20 @@ class TestCsv:
         with pytest.raises(ValueError, match="12 fields"):
             read_csv(io.StringIO(CSV_HEADER + "\n1,2,3\n"))
 
+    @pytest.mark.parametrize("column, value, message", [
+        (3, "bogus", "algorithm must be one of"),
+        (6, "yes", "exact must be 0 or 1"),
+        (6, "", "exact must be 0 or 1"),
+        (0, "ten", "invalid literal"),
+    ])
+    def test_bad_field_rejected_with_line_number(self, column, value, message):
+        good = "5,0.2,0,ppa,0,1,1,4,30.25,1,2,0"
+        fields = good.split(",")
+        fields[column] = value
+        text = "\n".join([CSV_HEADER, good, ",".join(fields)]) + "\n"
+        with pytest.raises(ValueError, match=f"line 3: {message}"):
+            read_csv(io.StringIO(text))
+
 
 class TestHeatmap:
     def _summary(self):
