@@ -25,6 +25,7 @@ dropped when either is collected or another pair is aligned.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -54,10 +55,21 @@ class AlignConfig:
     def __post_init__(self) -> None:
         for name in ("epsilon", "eigen_tol"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            if not (_is_number(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("eigen_max_iters", "ppa_max_iters"):
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.eigen_max_iters < 1 or self.ppa_max_iters < 1:
             raise ValueError("iteration caps must be at least 1")
+        if not isinstance(self.return_best, (bool, np.bool_)):
+            raise ValueError(f"return_best must be a bool, got {self.return_best!r}")
+
+
+def _is_number(value, kind: type) -> bool:
+    """`value` is an instance of the numeric ABC `kind` and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
 
 
 @dataclass

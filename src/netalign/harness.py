@@ -110,8 +110,8 @@ def derive_stream(base_seed: int, n: int, p: float, lam: float,
 
 
 def _check_ranges(n_list: Sequence[int], p: float, lambda_list: Sequence[float],
-                  base_seed: int) -> None:
-    """Range checks shared by one trial and a whole grid of them."""
+                  base_seed: int = 0) -> None:
+    """Range checks shared by one trial, a whole grid of them and a parsed record."""
     for n in n_list:
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
@@ -360,17 +360,32 @@ def read_csv(source: IO[str]) -> list[TrialRecord]:
         if parts[6] not in ("0", "1"):
             raise ValueError(f"line {lineno}: exact must be 0 or 1, got {parts[6]!r}")
         try:
-            records.append(TrialRecord(
+            record = TrialRecord(
                 n=int(parts[0]), p=float(parts[1]), lam=float(parts[2]),
                 algorithm=parts[3], trial_index=int(parts[4]),
                 recovery_fraction=float(parts[5]), exact=parts[6] == "1",
                 matched_edges=int(parts[7]), objective=float(parts[8]),
                 objective_ratio=float(parts[9]), iterations=int(parts[10]),
                 wall_seconds=float(parts[11]),
-            ))
+            )
+            _check_record_ranges(record)
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
+        records.append(record)
     return records
+
+
+def _check_record_ranges(r: TrialRecord) -> None:
+    """Ranges a record written by `write_csv` always satisfies."""
+    _check_ranges((r.n,), r.p, (r.lam,))
+    for name in ("trial_index", "matched_edges", "iterations"):
+        if getattr(r, name) < 0:
+            raise ValueError(f"{name} must be nonnegative, got {getattr(r, name)}")
+    if not (0.0 <= r.recovery_fraction <= 1.0):
+        raise ValueError(f"recovery_fraction must lie in [0, 1], got {r.recovery_fraction}")
+    for name in ("objective", "objective_ratio"):
+        if not math.isfinite(getattr(r, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(r, name)}")
 
 
 def _gray_level(recovery: float, log_scale: bool) -> int:

@@ -6,6 +6,7 @@ enumeration, dense linear algebra. Nothing imports the code paths it checks.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -133,6 +134,11 @@ def top_eigenpair_closed_form(adj1, adj2, s1, s2, s3):
 def assignment_score(scores, mapping):
     """sum_i scores[i, mapping[i]], correctly rounded (math.fsum)."""
     return math.fsum(float(scores[i, j]) for i, j in enumerate(mapping))
+
+
+def assignment_score_exact(scores, mapping):
+    """sum_i scores[i, mapping[i]] in exact rational arithmetic."""
+    return sum((Fraction(float(scores[i, j])) for i, j in enumerate(mapping)), Fraction(0))
 
 
 # Earlier versions of the planted-trial path, kept as bit-for-bit references

@@ -142,6 +142,23 @@ class TestConfigAndTrajectory:
         with pytest.raises(ValueError, match=name):
             AlignConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("return_best", "false"), ("return_best", 0), ("return_best", None),
+        ("ppa_max_iters", True), ("ppa_max_iters", np.True_), ("ppa_max_iters", 2.5),
+        ("eigen_max_iters", 2.0), ("eigen_max_iters", "10"),
+        ("epsilon", "0.1"), ("epsilon", True), ("eigen_tol", 1e-8 + 0j),
+    ])
+    def test_config_rejects_wrong_types(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            AlignConfig(**{name: value})
+
+    def test_config_accepts_numpy_scalars(self):
+        cfg = AlignConfig(epsilon=np.float64(0.01), eigen_tol=np.float32(1e-6),
+                          eigen_max_iters=np.int64(50), ppa_max_iters=np.int32(7),
+                          return_best=np.False_)
+        assert cfg == AlignConfig(epsilon=0.01, eigen_tol=float(np.float32(1e-6)),
+                                  eigen_max_iters=50, ppa_max_iters=7, return_best=False)
+
     def test_ppa_trajectory_logged(self):
         g1 = generate_er(10, 0.3, RngSeed(630, 1))
         g2 = generate_er(10, 0.3, RngSeed(630, 2))
@@ -426,6 +443,18 @@ class TestEstimators:
         assert est.get_params()["max_iters"] == 40
         with pytest.raises(ValueError, match="invalid parameter"):
             est.set_params(bogus=1)
+
+    @pytest.mark.parametrize("cls, name, value", [
+        (ProjectedPowerAlignment, "return_best", "false"),
+        (ProjectedPowerAlignment, "max_iters", True),
+        (EigenAlign, "eigen_max_iters", 2.5),
+        (EigenAlign, "epsilon", "0.001"),
+    ])
+    def test_fit_rejects_wrong_types_set_by_set_params(self, cls, name, value):
+        g1, g2, _ = make_instance(6, 0.5, 0.0, 0, 3)
+        est = cls().set_params(**{name: value})
+        with pytest.raises(ValueError, match="must be"):
+            est.fit(g1, g2)
 
     @pytest.mark.parametrize("est", [EigenAlign(), EigenAlign(epsilon=0.01, eigen_tol=1e-6),
                                      ProjectedPowerAlignment(),

@@ -400,6 +400,49 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"line 3: {message}"):
             read_csv(io.StringIO(text))
 
+    def test_out_of_range_row_rejected(self):
+        # Parsed whole, this row would give the heatmap a gray level of 2295.
+        text = CSV_HEADER + "\n-5,7,-3,ppa,-1,9,1,-4,nan,inf,-2,0\n"
+        with pytest.raises(ValueError, match="line 2: n must be at least 1"):
+            read_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("column, value, message", [
+        (0, "0", "n must be at least 1"),
+        (0, str(MAX_EDGE_LIST_VERTICES + 1), "n must be at most"),
+        (1, "1.5", "p must lie in"),
+        (1, "nan", "p must lie in"),
+        (2, "-0.1", "lambda must lie in"),
+        (4, "-1", "trial_index must be nonnegative"),
+        (5, "9", "recovery_fraction must lie in"),
+        (5, "-0.5", "recovery_fraction must lie in"),
+        (5, "nan", "recovery_fraction must lie in"),
+        (7, "-4", "matched_edges must be nonnegative"),
+        (8, "nan", "objective must be finite"),
+        (9, "inf", "objective_ratio must be finite"),
+        (10, "-2", "iterations must be nonnegative"),
+    ])
+    def test_out_of_range_field_rejected_with_line_number(self, column, value, message):
+        good = "5,0.2,0,ppa,0,1,1,4,30.25,1,2,0"
+        fields = good.split(",")
+        fields[column] = value
+        text = "\n".join([CSV_HEADER, good, ",".join(fields)]) + "\n"
+        with pytest.raises(ValueError, match=f"line 3: {message}"):
+            read_csv(io.StringIO(text))
+
+    def test_range_edges_and_failed_trials_round_trip(self):
+        records = [
+            TrialRecord(n=1, p=0.0, lam=1.0, algorithm="eigenalign", trial_index=0,
+                        recovery_fraction=1.0, exact=True, matched_edges=0,
+                        objective=0.0, objective_ratio=1.0, iterations=0),
+            TrialRecord(n=MAX_EDGE_LIST_VERTICES, p=1.0, lam=0.0, algorithm="ppa",
+                        trial_index=3, recovery_fraction=0.0, exact=False,
+                        matched_edges=0, objective=-2.5, objective_ratio=0.0,
+                        iterations=0),
+        ]
+        sink = io.StringIO()
+        write_csv(records, sink)
+        assert read_csv(io.StringIO(sink.getvalue())) == records
+
 
 class TestHeatmap:
     def _summary(self):

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import netalign.rounding as rounding
+from netalign.align import build_operator
 from netalign.graphs import Permutation
+from netalign.harness import make_instance
 from netalign.rounding import greedy_round, max_weight_matching
+from netalign.spectral import top_eigenvector
 
 import oracles
 
@@ -117,3 +122,76 @@ class TestSharedProperties:
         scores = rng.standard_normal((n, n))
         assert greedy_round(scores) == greedy_round(c * scores)
         assert max_weight_matching(scores) == max_weight_matching(c * scores)
+
+
+@pytest.fixture(scope="class")
+def reduced_at_every_n():
+    """Solve every exact assignment on column-reduced scores."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rounding, "REDUCE_MIN_N", 1)
+        yield
+
+
+@pytest.mark.usefixtures("reduced_at_every_n")
+class TestMaxWeightMatchingReduced(TestMaxWeightMatching):
+    """TestMaxWeightMatching, and the exact route's exhaustive checks from
+    TestSharedProperties, with every assignment solved on column-reduced
+    scores."""
+
+    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=50, deadline=None)
+    def test_quantized_ties_give_an_optimal_bijection(self, n, seed):
+        rng = np.random.default_rng(seed)
+        # duplicated values force ties; integral values make every sum exact
+        scores = np.round(10 * rng.standard_normal((n, n)))
+        mapping = max_weight_matching(scores).map
+        assert sorted(mapping.tolist()) == list(range(n))
+        assert scores[np.arange(n), mapping].sum() == oracles.best_assignment_weight(scores)
+
+    @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=50, deadline=None)
+    def test_exact_dominates_greedy(self, n, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.standard_normal((n, n))
+        exact_total = scores[np.arange(n), max_weight_matching(scores).map].sum()
+        greedy_total = scores[np.arange(n), greedy_round(scores).map].sum()
+        assert exact_total >= greedy_total - 1e-12
+
+
+@pytest.mark.parametrize("n, reduced", [(rounding.REDUCE_MIN_N - 1, False),
+                                        (rounding.REDUCE_MIN_N, True)])
+def test_reduction_chosen_from_n(monkeypatch, n, reduced):
+    calls = []
+
+    def spy(cost, maximize=False):
+        calls.append((cost, maximize))
+        return linear_sum_assignment(cost, maximize=maximize)
+
+    monkeypatch.setattr(rounding, "linear_sum_assignment", spy)
+    scores = np.random.default_rng(n).standard_normal((n, n))
+    max_weight_matching(scores)
+    [(cost, maximize)] = calls
+    assert maximize is not reduced
+    expected = scores.mean(axis=0) - scores if reduced else scores
+    assert np.allclose(cost, expected, rtol=0, atol=1e-12)
+
+
+# EigenAlign scores above REDUCE_MIN_N: planted instances at p = 0.2 over
+# several noise levels and two seeds, and one sparse pair.
+EIGEN_SCORE_INSTANCES = [(n, 0.2, lam, seed) for n in (30, 40, 50)
+                         for lam in (0.0, 0.05, 0.1, 0.3) for seed in (3, 7)]
+EIGEN_SCORE_INSTANCES.append((200, 0.02, 0.001, 7))
+
+
+@pytest.mark.parametrize("n, p, lam, seed", EIGEN_SCORE_INSTANCES)
+def test_reduced_path_loses_no_exact_total(n, p, lam, seed):
+    """The reduced solve may break a tie differently from the raw one; the
+    permutation it returns never has a smaller exact total."""
+    assert n >= rounding.REDUCE_MIN_N
+    g1, g2, _ = make_instance(n, p, lam, 0, seed)
+    scores = top_eigenvector(build_operator(g1, g2)).vector.reshape(n, n)
+    mapping = max_weight_matching(scores).map
+    _, raw = linear_sum_assignment(scores, maximize=True)
+    if not np.array_equal(mapping, raw):
+        assert (oracles.assignment_score_exact(scores, mapping)
+                >= oracles.assignment_score_exact(scores, raw))
