@@ -37,6 +37,14 @@ bit, and the dense one's last bits depend on the BLAS build and its
 kernels; on tie-heavy inputs that can move an eigenvector's rounding to a
 permutation.
 
+Power iteration (`spectral.top_eigenvector`) calls `apply` from a custom
+start and at n <= `DENSE_MAX_N`. From the uniform start above that bound it
+never forms a length-n² vector: it iterates on Krylov bases of G1 and G2
+built from `kronecker_scalars` and the graphs' CSR arrays. That loop is
+13-31x faster than the sparse `apply` loop at n = 400-1000, 1.4-2.6x at
+n = 60, and 1.6-3x slower than the dense `apply` loop at n <= 50 (the
+measurements are in the `spectral` docstring).
+
 For the 0/1 vectorization of a permutation pi, G1 V G2 = G1 @ G2[pi] and the
 row and column sums of V are all ones, so `permutation_product` needs one
 sparse-dense product with an integer-valued result (it always takes that
@@ -199,12 +207,16 @@ class AlignmentOperator:
         deg2 = self.g2.degree_sequence().astype(np.float64)
         return self._k_lin * (deg1[:, None] + deg2[None, :])
 
+    @property
+    def kronecker_scalars(self) -> tuple[float, float, float]:
+        """(k, c, d) of A = k M1⊗M2 + d 11^T with M_i = G_i + c J."""
+        k = self._k_quad
+        return k, self._k_lin / k, self.params.s2 - self._k_lin ** 2 / k
+
     # Built on the first dense `apply`: (k M1, M2, d) with M_i = G_i + c J.
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, float]:
-        k = self._k_quad
-        c = self._k_lin / k
-        d = self.params.s2 - self._k_lin ** 2 / k
+        k, c, d = self.kronecker_scalars
         return k * (self.g1.adjacency + c), self.g2.adjacency + c, d
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -232,8 +244,9 @@ class AlignmentOperator:
         # in the same order without transposing G2 on every call. U is built
         # in C order so the final reshape is a view. Y lives until return on
         # purpose: deleting it right after use made glibc hand the heap top
-        # back and fault it in again on the next call (n = 600: 2.8k minor
-        # page faults per `top_eigenvector` call became 19k).
+        # back and fault it in again on the next call (measured at n = 600
+        # when power iteration still made five `apply` calls there: 2.8k
+        # minor page faults per eigen stage became 19k).
         Y = _csr_product(self._a2, _csr_product(self._a1, V).T)
         U = np.multiply(Y.T, self._k_quad, order="C")
         # Rank-one corrections: G1 V J has constant rows G1 @ rowsums(V),

@@ -4,6 +4,39 @@ The operator is entrywise positive, so its dominant eigenvalue is positive
 and simple and the corresponding eigenvector can be taken entrywise positive;
 plain power iteration from any positive start therefore converges without a
 spectral shift.
+
+One loop (`_power_iteration`) runs the iteration on one of two
+representations of the iterate, chosen from the start and from n alone:
+
+- Length-n² vectors through `op.apply`, for a custom start and for
+  n <= `DENSE_MAX_N` (every sweep cell).
+- Kronecker-Krylov coordinates, from the uniform start at n > `DENSE_MAX_N`.
+  The operator is A = k M1⊗M2 + d 11^T with M_i = G_i + c J (see
+  `operator`), and A (x⊗y) = k (M1 x)⊗(M2 y) + d (1^T x)(1^T y) 1⊗1. So
+  from the start 1⊗1 every iterate, as an n x n matrix, is
+  V_t = Q1 C_t Q2^T, where Q_i is an orthonormal basis of the Krylov space
+  K_{t+1}(M_i, 1) = K_{t+1}(G_i, 1) (M_i and G_i differ by c 11^T) and C_t
+  is at most (t+1) x (t+1). With q0 = 1/sqrt(n) the first basis vector and
+  each basis grown by one vector, A maps C to
+  W = k H1 C H2^T + d n² C00 e0 e0^T, where H_i = Q_i'^T M_i Q_i =
+  Q_i'^T G_i Q_i + c n e0 e0^T. Norms, the Rayleigh quotient, the residual
+  and the iterate difference are Frobenius quantities of C and W. An
+  iteration then costs one sparse matvec per graph and Gram-Schmidt (twice)
+  against the basis, O(e + n t), instead of an O(n (e1 + e2) + n²) `apply`.
+  V and A v are built as n x n matrices once, at the end. A basis stops
+  growing when the new direction is zero to rounding. For a regular or
+  empty graph G 1 is a multiple of 1, so its basis keeps one vector, and C
+  is rectangular when the two bases differ in size.
+
+Both representations take the same iterates, stopping rule and iteration
+counts; their results agree to rounding (~1e-15 relative), not bit for bit.
+Measured on planted pairs (best of 9, one BLAS thread, 2-core Xeon with
+AVX-512 OpenBLAS), the Krylov loop against the `apply` loop takes 3.7 vs
+49 ms at n = 600, p = 0.0125; 2.3 vs 71 ms at n = 400, p = 0.2; 6.0 vs
+147 ms at n = 1000, p = 0.005; 0.46-0.55 vs 0.65-1.41 ms at n = 60. At
+n = 10-50 it takes about 0.5 ms against 0.16-0.32 ms for the dense `apply`
+loop, 1.6-3x slower. Hence the bound: at n <= `DENSE_MAX_N` the `apply`
+loop runs, and its results stay bit for bit those of the earlier code.
 """
 
 from __future__ import annotations
@@ -13,7 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator import AlignmentOperator
+from .graphs import Graph
+from .operator import DENSE_MAX_N, AlignmentOperator, _csr_product
 
 __all__ = ["EigenResult", "top_eigenvector"]
 
@@ -29,8 +63,11 @@ class EigenResult:
     residual: float          # ||A v - value * v||_2 for the returned vector
     converged: bool          # False when the iteration cap was hit
     product: np.ndarray = field(compare=False, repr=False)
-    """`op.apply(vector)`, read-only. Power iteration computes it for the
-    final residual anyway, so a caller that needs A v gets it for free."""
+    """A v for the returned `vector`, read-only; power iteration computes it
+    for the final residual anyway, so a caller that needs A v gets it for
+    free. It is `op.apply(vector)` byte for byte where the `apply` loop runs
+    (a custom start, or n <= `DENSE_MAX_N`). Above that bound it is built
+    from the Krylov coordinates and equals `op.apply(vector)` to rounding."""
 
 
 def _norm(x: np.ndarray) -> float:
@@ -49,12 +86,15 @@ def top_eigenvector(op: AlignmentOperator,
     the eigen-residual ||A v - lambda v|| drops below `tol`, or at
     `max_iters` (flagged via `converged=False`, not an error). The default
     start is the uniform positive vector, which has nonzero overlap with the
-    dominant eigenvector.
+    dominant eigenvector. From it, above n = `DENSE_MAX_N`, the iteration
+    runs in Kronecker-Krylov coordinates (module docstring).
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if start is None and op.n > DENSE_MAX_N:
+        return _krylov_top_eigenvector(op, tol, max_iters)
     dim = op.dim
     if start is None:
         v = np.full(dim, 1.0 / op.n)
@@ -66,16 +106,25 @@ def top_eigenvector(op: AlignmentOperator,
         if norm == 0 or not np.isfinite(norm):
             raise ValueError("start vector must have nonzero finite norm")
         v = v / norm
+    return _result(op, *_power_iteration(lambda x: (x, op.apply(x)), v, tol, max_iters))
 
+
+def _power_iteration(product, v, tol, max_iters):
+    """The power loop on any coordinates of the iterate, as 1-D vectors.
+
+    `product(v)` returns (v', w): w = A v, and v' the iterate v in the
+    coordinates of w (v itself where they are fixed). Returns
+    (v, w, value, iterations, residual, converged) for the returned iterate.
+    """
     def stats(vec):
-        w = op.apply(vec)
+        vec, w = product(vec)
         rayleigh = float(vec @ w)
-        return w, rayleigh, _norm(w - rayleigh * vec)
+        return vec, w, rayleigh, _norm(w - rayleigh * vec)
 
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        w, value, residual = stats(v)
+        v, w, value, residual = stats(v)
         w_norm = _norm(w)
         if w_norm == 0:
             raise ValueError("operator annihilated the iterate; cannot normalize")
@@ -86,16 +135,94 @@ def top_eigenvector(op: AlignmentOperator,
             break
         v = v_next
         if diff < tol:
-            w, value, residual = stats(v)  # stats of the iterate actually returned
+            v, w, value, residual = stats(v)  # stats of the iterate actually returned
             converged = True
             break
     else:
-        w, value, residual = stats(v)  # cap hit: report the final iterate honestly
+        v, w, value, residual = stats(v)  # cap hit: report the final iterate honestly
+    return v, w, value, iterations, residual, converged
 
-    vector = np.maximum(v, 0.0)  # clamp roundoff negatives for downstream rounding
-    if (v < 0).any():  # only a custom start can leave negatives to clamp
+
+def _result(op: AlignmentOperator, v, w, value, iterations, residual,
+            converged) -> EigenResult:
+    clamped = v.min() < 0  # only a custom start can leave negatives to clamp
+    # Clamp roundoff negatives for downstream rounding, in place: v is the
+    # loop's own array, and a fresh n² array costs ~700 page faults at n = 600.
+    vector = np.maximum(v, 0.0, out=v)
+    if clamped:
         w = op.apply(vector)
     vector.flags.writeable = False
     w.flags.writeable = False
     return EigenResult(vector=vector, value=value, iterations=iterations,
                        residual=residual, converged=converged, product=w)
+
+
+class _KrylovBasis:
+    """Orthonormal basis Q of the Krylov space K(G, 1) of one graph, grown by
+    `grow`, with G applied to every column but (while it still grows) the
+    newest."""
+
+    def __init__(self, graph: Graph):
+        self._a = graph.csr()
+        self.q = np.full((graph.n, 1), 1.0 / math.sqrt(graph.n))
+        self._gq = np.empty((graph.n, 0))
+        self._closed = False
+
+    def grow(self) -> None:
+        """Apply G to the newest column and append the part of the result
+        orthogonal to Q, unless that part is zero to rounding: then Q spans
+        an invariant subspace of G and never grows again."""
+        if self._closed:
+            return
+        q = self.q
+        z = _csr_product(self._a, q[:, -1])
+        self._gq = np.column_stack((self._gq, z))
+        r = z - q @ (q.T @ z)
+        r -= q @ (q.T @ r)
+        n = len(r)
+        norm = _norm(r)
+        # Each projection coefficient is an n-term sum, so a direction below
+        # n eps ||z|| is indistinguishable from its rounding; n orthonormal
+        # columns span R^n.
+        if norm <= n * np.finfo(np.float64).eps * _norm(z) or q.shape[1] == n:
+            self._closed = True
+        else:
+            self.q = np.column_stack((q, r / norm))
+
+    def projection(self, cn: float) -> np.ndarray:
+        """H = Q^T (G + c J) Q_old, where Q_old is Q without the column
+        `grow` may just have added; `cn` is c n, since Q^T 1 = sqrt(n) e0."""
+        h = self.q.T @ self._gq
+        h[0, 0] += cn
+        return h
+
+
+def _krylov_top_eigenvector(op: AlignmentOperator, tol: float,
+                            max_iters: int) -> EigenResult:
+    """`top_eigenvector` from the uniform start in Kronecker-Krylov
+    coordinates (module docstring), for any n."""
+    n = op.n
+    k, c, d = op.kronecker_scalars
+    bases = (_KrylovBasis(op.g1), _KrylovBasis(op.g2))
+
+    def coefficients(flat):
+        """The matrix C of V = Q1 C Q2^T, from its row-major entries."""
+        return flat.reshape(bases[0].q.shape[1], bases[1].q.shape[1])
+
+    def product(flat):
+        C = coefficients(flat)
+        for basis in bases:
+            basis.grow()
+        h1, h2 = (basis.projection(c * n) for basis in bases)
+        W = k * (h1 @ C @ h2.T)
+        W[0, 0] += d * n * n * C[0, 0]
+        padded = np.zeros_like(W)
+        padded[:C.shape[0], :C.shape[1]] = C
+        return padded.ravel(), W.ravel()
+
+    # The start 1/n 1⊗1 is q0 q0^T: C = [[1]].
+    c_flat, w_flat, *stats = _power_iteration(product, np.ones(1), tol, max_iters)
+    q1, q2 = (basis.q for basis in bases)
+    V = q1 @ coefficients(c_flat) @ q2.T
+    AV = q1 @ coefficients(w_flat) @ q2.T
+    return _result(op, V.reshape(op.dim), AV.reshape(op.dim), *stats)

@@ -7,7 +7,7 @@ from netalign.graphs import (Graph, RngSeed, apply_noise, generate_er, permute,
                              random_permutation)
 from netalign.operator import (AlignmentOperator, DegenerateBalanceError,
                                compute_alpha, dense_alignment_matrix, make_params)
-from netalign import operator
+from netalign import operator, spectral
 from netalign.spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, top_eigenvector
 
 import oracles
@@ -163,14 +163,14 @@ def planted_operator(n, p, lam, seed):
 
 
 class TestAgainstEarlierImplementation:
-    """Norms taken as sqrt(x @ x) give np.linalg.norm's results bit for bit."""
+    """Norms taken as sqrt(x @ x) give np.linalg.norm's results bit for bit
+    wherever the `apply` loop runs."""
 
     @pytest.mark.parametrize("n,p,lam,seed,tol,max_iters", [
         (10, 0.2, 0.05, 700, DEFAULT_TOL, DEFAULT_MAX_ITERS),
         (30, 0.2, 0.0, 701, DEFAULT_TOL, DEFAULT_MAX_ITERS),
         (25, 0.3, 0.2, 702, 1e-13, 50),
         (6, 0.5, 0.1, 703, 1e-15, 3),
-        (600, 0.0125, 0.001, 704, DEFAULT_TOL, DEFAULT_MAX_ITERS),
     ])
     def test_identical_result(self, n, p, lam, seed, tol, max_iters):
         self.check(planted_operator(n, p, lam, seed), tol, max_iters)
@@ -178,9 +178,15 @@ class TestAgainstEarlierImplementation:
     def test_identical_on_residual_exit(self):
         self.check(empty_pair_operator(4), DEFAULT_TOL, DEFAULT_MAX_ITERS)
 
+    def test_identical_from_custom_start_above_dense_bound(self):
+        # A custom start keeps the `apply` loop at any n, and ones / n is the
+        # uniform start bit for bit (its norm, sqrt(n²), is exact).
+        op = planted_operator(120, 0.2, 0.05, 705)
+        self.check(op, DEFAULT_TOL, DEFAULT_MAX_ITERS, start=np.ones(op.dim))
+
     @staticmethod
-    def check(op, tol, max_iters):
-        res = top_eigenvector(op, tol=tol, max_iters=max_iters)
+    def check(op, tol, max_iters, start=None):
+        res = top_eigenvector(op, tol=tol, max_iters=max_iters, start=start)
         vector, value, iterations, residual, converged = \
             oracles.power_iteration_linalg_norm(op.apply, op.n, tol, max_iters)
         assert res.vector.tobytes() == vector.tobytes()
@@ -188,26 +194,111 @@ class TestAgainstEarlierImplementation:
             (value, iterations, residual, converged)
 
 
-class TestProduct:
-    """`EigenResult.product` is `op.apply(vector)` byte for byte, read-only,
-    and left out of `==`. On the sparse product it is also the public-`@`
-    product."""
+def pair_operator(g1, g2):
+    return AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
 
-    @pytest.mark.parametrize("case", ["residual-exit", "diff-exit", "cap-exit", "n600"])
+
+def cycle_graph(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+KRYLOV_CASES = {
+    "planted-n600": lambda: planted_operator(600, 0.0125, 0.001, 704),
+    "planted-n120": lambda: planted_operator(120, 0.2, 0.05, 705),
+    "planted-n60-dense": lambda: planted_operator(60, 0.9, 0.05, 706),
+    # A cycle's basis closes at one vector, the other graph's keeps growing.
+    "cycle-and-er": lambda: pair_operator(cycle_graph(80), generate_er(80, 0.1, RngSeed(707))),
+    # So does an empty graph's.
+    "empty-and-er": lambda: pair_operator(Graph(np.zeros((70, 70), dtype=bool)),
+                                          generate_er(70, 0.1, RngSeed(708))),
+}
+
+
+class TestKrylovLoop:
+    """Above `DENSE_MAX_N`, from the uniform start, power iteration runs in
+    Kronecker-Krylov coordinates: the iterates of the `apply` loop (oracle:
+    `power_iteration_linalg_norm`), equal to rounding, with no `apply`."""
+
+    @pytest.mark.parametrize("case,tol,max_iters", [
+        *(pytest.param(case, DEFAULT_TOL, DEFAULT_MAX_ITERS, id=case) for case in KRYLOV_CASES),
+        pytest.param("planted-n120", 1e-15, 2, id="cap-exit-n120"),
+    ])
+    def test_matches_apply_loop(self, case, tol, max_iters, monkeypatch):
+        op = KRYLOV_CASES[case]()
+        assert op.n > operator.DENSE_MAX_N
+        applied = []
+        with monkeypatch.context() as patch:
+            patch.setattr(AlignmentOperator, "apply", lambda op, v: applied.append(v))
+            res = top_eigenvector(op, tol=tol, max_iters=max_iters)
+        assert applied == []
+        vector, value, iterations, residual, converged = \
+            oracles.power_iteration_linalg_norm(op.apply, op.n, tol, max_iters)
+        assert (res.iterations, res.converged) == (iterations, converged)
+        assert converged == (max_iters > 2)
+        assert abs(res.value - value) <= 1e-13 * value
+        # The residual is a difference of terms of size `value`, so either
+        # loop knows it only to a few eps * value.
+        assert abs(res.residual - residual) <= 1e-13 * value
+        assert np.linalg.norm(res.vector - vector) <= 1e-13  # both unit norm
+        expected = op.apply(res.vector)
+        assert np.linalg.norm(res.product - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert not res.vector.flags.writeable and not res.product.flags.writeable
+
+    @pytest.mark.parametrize("graph", [cycle_graph(80), Graph(np.zeros((70, 70), dtype=bool)),
+                                       Graph(~np.eye(60, dtype=bool))],
+                             ids=["cycle", "empty", "complete"])
+    def test_basis_closes_at_one_vector_on_regular_graphs(self, graph):
+        basis = spectral._KrylovBasis(graph)
+        for _ in range(3):
+            basis.grow()
+        assert basis.q.shape == (graph.n, 1)
+
+    def test_basis_grows_orthonormal(self):
+        g = generate_er(200, 0.05, RngSeed(709))
+        basis = spectral._KrylovBasis(g)
+        for _ in range(12):
+            basis.grow()
+        q = basis.q
+        assert q.shape == (200, 13)
+        np.testing.assert_allclose(q.T @ q, np.eye(13), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n,p,seed", [(1, 0.5, 0), (2, 0.9, 1), (5, 0.3, 2), (8, 0.2, 3),
+                                          (12, 0.2, 4), (12, 0.5, 5), (12, 0.9, 6)])
+    def test_direct_call_matches_closed_form(self, n, p, seed):
+        # Called directly below the bound, where a basis can span all of R^n.
+        g1 = generate_er(n, p, RngSeed(seed, 1))
+        g2 = generate_er(n, p, RngSeed(seed, 2))
+        params = make_params(compute_alpha(g1, g2) if g1.edge_count + g2.edge_count else 1.0)
+        op = AlignmentOperator(g1, g2, params)
+        res = spectral._krylov_top_eigenvector(op, 1e-13, 5000)
+        mu, V = oracles.top_eigenpair_closed_form(g1.adjacency, g2.adjacency,
+                                                  params.s1, params.s2, params.s3)
+        assert res.converged
+        assert res.value == pytest.approx(mu, rel=1e-13)
+        assert np.abs(res.vector - V.reshape(-1)).max() <= 1e-11
+        expected = dense_alignment_matrix(g1, g2, params) @ res.vector
+        assert np.linalg.norm(res.product - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+class TestProduct:
+    """Where the `apply` loop runs (n <= `DENSE_MAX_N`), `EigenResult.product`
+    is `op.apply(vector)` byte for byte, read-only, and left out of `==`. On
+    the sparse product it is also the public-`@` product. Above the bound
+    `TestKrylovLoop` checks it to rounding."""
+
+    @pytest.mark.parametrize("case", ["residual-exit", "diff-exit", "cap-exit"])
     def test_equals_apply_of_vector(self, case):
         make, tol, max_iters = {
             "residual-exit": (lambda: empty_pair_operator(4), DEFAULT_TOL, DEFAULT_MAX_ITERS),
             "diff-exit": (lambda: planted_operator(10, 0.2, 0.05, 700), DEFAULT_TOL,
                           DEFAULT_MAX_ITERS),
             "cap-exit": (lambda: planted_operator(6, 0.5, 0.1, 703), 1e-15, 3),
-            "n600": (lambda: planted_operator(600, 0.0125, 0.001, 704), DEFAULT_TOL,
-                     DEFAULT_MAX_ITERS),
         }[case]
         default = make()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(operator, "DENSE_MAX_N", 0)  # sparse product at any n
             sparse = make()
-        assert default._dense == (case != "n600") and not sparse._dense
+        assert default._dense and not sparse._dense
         for op in (default, sparse):
             res = top_eigenvector(op, tol=tol, max_iters=max_iters)
             assert res.converged == (case != "cap-exit")
