@@ -162,6 +162,14 @@ def planted_operator(n, p, lam, seed):
     return AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
 
 
+def apply_loop_start(op):
+    """A start that keeps the `apply` loop at any n: None (the uniform start)
+    up to `DENSE_MAX_N`, else ones, whose normalisation ones / n is the
+    uniform start bit for bit (its norm, sqrt(n²), is exact). From the
+    uniform start above the bound `TestKrylovLoop` checks the Krylov loop."""
+    return None if op.n <= operator.DENSE_MAX_N else np.ones(op.dim)
+
+
 class TestAgainstEarlierImplementation:
     """Norms taken as sqrt(x @ x) give np.linalg.norm's results bit for bit
     wherever the `apply` loop runs."""
@@ -171,18 +179,14 @@ class TestAgainstEarlierImplementation:
         (30, 0.2, 0.0, 701, DEFAULT_TOL, DEFAULT_MAX_ITERS),
         (25, 0.3, 0.2, 702, 1e-13, 50),
         (6, 0.5, 0.1, 703, 1e-15, 3),
+        (600, 0.0125, 0.001, 704, DEFAULT_TOL, DEFAULT_MAX_ITERS),
     ])
     def test_identical_result(self, n, p, lam, seed, tol, max_iters):
-        self.check(planted_operator(n, p, lam, seed), tol, max_iters)
+        op = planted_operator(n, p, lam, seed)
+        self.check(op, tol, max_iters, start=apply_loop_start(op))
 
     def test_identical_on_residual_exit(self):
         self.check(empty_pair_operator(4), DEFAULT_TOL, DEFAULT_MAX_ITERS)
-
-    def test_identical_from_custom_start_above_dense_bound(self):
-        # A custom start keeps the `apply` loop at any n, and ones / n is the
-        # uniform start bit for bit (its norm, sqrt(n²), is exact).
-        op = planted_operator(120, 0.2, 0.05, 705)
-        self.check(op, DEFAULT_TOL, DEFAULT_MAX_ITERS, start=np.ones(op.dim))
 
     @staticmethod
     def check(op, tol, max_iters, start=None):
@@ -281,26 +285,28 @@ class TestKrylovLoop:
 
 
 class TestProduct:
-    """Where the `apply` loop runs (n <= `DENSE_MAX_N`), `EigenResult.product`
-    is `op.apply(vector)` byte for byte, read-only, and left out of `==`. On
-    the sparse product it is also the public-`@` product. Above the bound
-    `TestKrylovLoop` checks it to rounding."""
+    """Wherever the `apply` loop runs, `EigenResult.product` is
+    `op.apply(vector)` byte for byte, read-only, and left out of `==`. On the
+    sparse product it is also the public-`@` product. From the uniform start
+    above `DENSE_MAX_N`, `TestKrylovLoop` checks it to rounding."""
 
-    @pytest.mark.parametrize("case", ["residual-exit", "diff-exit", "cap-exit"])
+    @pytest.mark.parametrize("case", ["residual-exit", "diff-exit", "cap-exit", "n600"])
     def test_equals_apply_of_vector(self, case):
         make, tol, max_iters = {
             "residual-exit": (lambda: empty_pair_operator(4), DEFAULT_TOL, DEFAULT_MAX_ITERS),
             "diff-exit": (lambda: planted_operator(10, 0.2, 0.05, 700), DEFAULT_TOL,
                           DEFAULT_MAX_ITERS),
             "cap-exit": (lambda: planted_operator(6, 0.5, 0.1, 703), 1e-15, 3),
+            "n600": (lambda: planted_operator(600, 0.0125, 0.001, 704), DEFAULT_TOL,
+                     DEFAULT_MAX_ITERS),
         }[case]
         default = make()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(operator, "DENSE_MAX_N", 0)  # sparse product at any n
             sparse = make()
-        assert default._dense and not sparse._dense
+        assert default._dense == (case != "n600") and not sparse._dense
         for op in (default, sparse):
-            res = top_eigenvector(op, tol=tol, max_iters=max_iters)
+            res = top_eigenvector(op, tol=tol, max_iters=max_iters, start=apply_loop_start(op))
             assert res.converged == (case != "cap-exit")
             assert res.product.tobytes() == op.apply(res.vector).tobytes()
             assert not res.product.flags.writeable
