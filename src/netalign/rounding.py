@@ -5,30 +5,63 @@ totally unimodular, so an exact assignment solver attains the LP optimum),
 and the greedy projection that repeatedly locks in the globally largest
 remaining entry and eliminates its row and column.
 
-From n = `REDUCE_MIN_N` on, the exact assignment is solved on column-reduced
-scores: each column's mean minus the scores, minimized. Every permutation
-takes exactly one entry from each column, so subtracting a constant per
-column shifts every permutation's total by the same amount (the sum of the
-column means) and leaves the optimal permutations unchanged in exact
-arithmetic. This is the column reduction of Jonker & Volgenant (1987).
+The exact assignment is scipy's shortest augmenting path solver (Crouse
+2016), which starts every dual at zero. Every permutation takes one entry
+from each row and each column, so minimizing the reduced costs
+u_i + v_j - s_ij instead of maximizing the scores s shifts every
+permutation's total by the same sum(u) + sum(v): the optimal permutations
+are unchanged in exact arithmetic, whatever (u, v). Good duals leave the
+solver little to do. Three regimes, by n:
 
-It pays on EigenAlign's scores. scipy's shortest augmenting path solver
-(Crouse 2016) starts every column dual at zero. The dominant eigenvector
-carries large per-column offsets, and with row and column means removed it
-is nearly rank one (sigma_2 / sigma_1 ~ 2e-5 on an n = 600 instance), so on
-the raw scores each new row contends for the same few columns. Measured with
-one BLAS thread on an Intel Xeon (best of 7, mean over 12 planted
-instances), raw -> reduced: p = 0.2, n = 10 5.4 -> 12.1 us, n = 20 17.8 ->
-21.1 us, n = 25 30.3 -> 30.1 us, n = 50 297 -> 152 us, n = 200 13.5 ->
-7.8 ms; n = 600 at mean degree 7.5 (EigenAlign's sparse benchmark instance,
-six seeds) 216-308 -> 127-190 ms. Below the crossover at n = 25 the extra
-pass over the scores costs more than it saves, so small problems keep the
-raw solve.
+- n < `REDUCE_MIN_N` (25): the raw scores, u = v = 0.
+- `REDUCE_MIN_N` <= n < `SORT_DUALS_MIN_N` (51): column reduction, u = 0
+  and v the column means (Jonker & Volgenant 1987).
+- n >= `SORT_DUALS_MIN_N`: the duals of the sort matching, below.
 
-The reduction changes no optimal total, but the rounding of the reduced
-entries can break a tie differently: from n = `REDUCE_MIN_N` on, of two
-permutations with equal totals (such as two vertices with bit-equal score
-rows swapped), the reduced solve may return the other one.
+EigenAlign's scores carry large row and column offsets; with the row and
+column means removed (the double-centred scores C) they are nearly rank one,
+C ~ sigma x y^T (sigma_2 / sigma_1 ~ 2e-5 on an n = 600 instance). Sort the
+rows by x and the columns by y. For an exactly rank-one C the sorted scores
+T are then a Monge matrix, T[k, l] + T[k', l'] >= T[k, l'] + T[k', l] for
+k < k', l < l' (offsets do not change that), on which the sort matching
+k -> k is optimal with closed-form LP duals (Burkard, Klinz & Rudolf 1996):
+
+    v_k = sum over 0 < m <= k of T[m, m] - T[m, m-1],   u_k = T[k, k] - v_k.
+
+The reduced costs are zero on the sort matching and, by telescoping the
+Monge inequalities, nonnegative elsewhere. On EigenAlign's scores they are
+nearly so, and the solver only repairs the few violations. x and y come from
+two alternating products with C started from s[0] - column means (four
+passes over the scores, C never formed); the costs are one n x n array, as
+for the column reduction.
+
+A guard falls back to the column reduction when the leading pair carries
+less than `SORT_DUALS_MIN_SHARE` (half) of ||C||_F^2; far from rank one the
+sort duals are poor and the solver takes longer than from the column means.
+The share, from the two products, bounds the true one from below: it reads
+0.9997-1.0 on 21 EigenAlign instances (n 60-600, lambda 0-0.5) and 0.043
+and 0.0042 on standard-normal 60 x 60 and 600 x 600 matrices.
+
+Measured with one BLAS thread on an Intel Xeon (best of 9, mean over 15
+planted instances: seeds 3, 7, 11, lambda 0-0.5), column reduction -> this
+module: p = 0.2, n = 51 101 -> 98 us, n = 55 122 -> 126 us, n = 60 159 ->
+146 us, n = 100 700 -> 425 us, n = 200 4.6 -> 1.9 ms; p = 0.05, n = 51 90 ->
+84 us, n = 100 642 -> 269 us, n = 200 4.4 -> 1.0 ms; n = 600 at mean degree
+7.5 (EigenAlign's sparse benchmark instance, six seeds) 84-92 -> 5.4-6.5 ms.
+At n = 50 the two are level (97 vs 102 us at p = 0.2, 86 vs 78 us at
+p = 0.05; the duals and the guard cost ~30 us), so the sweep sizes, n <= 50,
+keep their column-reduced solve and its bytes. A standard-normal 600 x 600 matrix takes 3-5% longer
+than before (the guard's passes; 10.8-18.1 -> 11.1-18.9 ms); without the
+guard it takes 106-144 ms. Earlier measurements (best of 7, 12 instances),
+raw -> column-reduced: p = 0.2, n = 10 5.4 -> 12.1 us, n = 20 17.8 -> 21.1
+us, n = 25 30.3 -> 30.1 us, n = 50 297 -> 152 us: below n = 25 the extra
+pass costs more than it saves.
+
+No reduction changes an optimal total, but the rounding of the reduced
+entries can break a tie differently: from n = `REDUCE_MIN_N` on, and again
+from n = `SORT_DUALS_MIN_N` on, of two permutations with equal totals (such
+as two vertices with bit-equal score rows swapped) the solve may return the
+other one.
 """
 
 from __future__ import annotations
@@ -40,8 +73,13 @@ from .graphs import Permutation
 
 __all__ = ["max_weight_matching", "greedy_round"]
 
-# Smallest n whose exact assignment is solved on column-reduced scores.
+# Smallest n whose exact assignment is solved on column-reduced scores, and
+# the smallest on sort-matching duals (when the guard lets them through).
 REDUCE_MIN_N = 25
+SORT_DUALS_MIN_N = 51
+# Smallest share of the double-centred scores' squared Frobenius norm that
+# the leading singular pair must carry for the sort-matching duals.
+SORT_DUALS_MIN_SHARE = 0.5
 
 
 def _check_scores(scores: np.ndarray) -> np.ndarray:
@@ -56,20 +94,67 @@ def _check_scores(scores: np.ndarray) -> np.ndarray:
 def max_weight_matching(scores: np.ndarray) -> Permutation:
     """Permutation maximizing sum_i scores[i, sigma(i)], by exact assignment.
 
-    From n = `REDUCE_MIN_N` on, it minimizes the column-reduced costs
-    mean_k scores[k, j] - scores[i, j] instead (see the module docstring).
-    The subtraction also negates, which `maximize=True` would do on its own
-    copy, so the reduction makes no extra n x n array.
+    Below n = `REDUCE_MIN_N` it solves the raw scores. From there on it
+    minimizes reduced costs u_i + v_j - scores[i, j] (module docstring): the
+    duals of the leading-factor sort matching from n = `SORT_DUALS_MIN_N` on
+    when the guard accepts them, else u = 0 and v the column means. Either
+    cost matrix is one n x n array; the subtraction also negates, which
+    `maximize=True` would do on its own copy.
     """
     s = _check_scores(scores)
     n = s.shape[0]
-    if n >= REDUCE_MIN_N:
-        rows, cols = linear_sum_assignment(s.sum(axis=0) / n - s)
-    else:
+    if n < REDUCE_MIN_N:
         rows, cols = linear_sum_assignment(s, maximize=True)
+    else:
+        col_mean = s.sum(axis=0) / n
+        duals = _sort_duals(s, col_mean) if n >= SORT_DUALS_MIN_N else None
+        if duals is None:
+            cost = col_mean - s
+        else:
+            u, v = duals
+            cost = v - s
+            cost += u[:, None]
+        rows, cols = linear_sum_assignment(cost)
     mapping = np.empty(n, dtype=np.int64)
     mapping[rows] = cols
     return Permutation._trusted(mapping)
+
+
+def _sort_duals(s: np.ndarray, col_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Duals (u, v) of the matching that pairs rows and columns in the order
+    of the leading singular vectors of the double-centred scores C, or None
+    when that pair carries less than `SORT_DUALS_MIN_SHARE` of ||C||_F^2.
+
+    Two alternating products from b = s[0] - col_mean estimate the vectors
+    without forming C: with b and then a centred, a = C b and b = C^T a.
+    The duals are exact when the scores, sorted by a and b, are a Monge
+    matrix (module docstring).
+    """
+    n = s.shape[0]
+    b = s[0] - col_mean
+    b -= b.sum() / n
+    # One pass over the scores gives S b and the row sums.
+    a, row_sums = (s @ np.column_stack((b, np.ones(n)))).T
+    a -= a.sum() / n
+    b = a @ s
+    b -= b.sum() / n
+    # ||b||^2 / ||a||^2 is a Rayleigh quotient of C C^T, so it bounds
+    # sigma_1^2 from below: the guard errs toward the fallback.
+    centred_norm2 = (np.vdot(s, s) - row_sums @ row_sums / n
+                     - n * (col_mean @ col_mean) + (row_sums.sum() / n) ** 2)
+    if SORT_DUALS_MIN_SHARE * centred_norm2 * (a @ a) > b @ b:
+        return None
+    r = np.argsort(a, kind="stable")
+    c = np.argsort(b, kind="stable")
+    diagonal = s[r, c]
+    # v[c_k] = sum over 0 < m <= k of s[r_m, c_m] - s[r_m, c_(m-1)], and
+    # u[r_k] = s[r_k, c_k] - v[c_k]: the sort matching's costs are zero.
+    v_sorted = np.concatenate(([0.0], np.cumsum(diagonal[1:] - s[r[1:], c[:-1]])))
+    u = np.empty(n)
+    v = np.empty(n)
+    u[r] = diagonal - v_sorted
+    v[c] = v_sorted
+    return u, v
 
 
 def greedy_round(scores: np.ndarray) -> Permutation:

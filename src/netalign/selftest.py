@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from . import align, operator, rounding, spectral
 from .graphs import RngSeed, generate_er
-from .harness import mix64
+from .harness import make_instance, mix64
 
 __all__ = ["SuiteResult", "run_all_suites"]
 
@@ -61,8 +63,11 @@ def suite_dense_equivalence(max_n: int, seed: int, draws: int = 40) -> SuiteResu
                        f"over {draws} draws (tol 1e-12)")
 
 
-def suite_matching_oracle(seed: int, draws: int = 50, n: int = 6) -> SuiteResult:
-    """Exact assignment vs exhaustive n! search."""
+def suite_matching_oracle(seed: int, draws: int = 50, n: int = 6,
+                          planted_n: int = 60) -> SuiteResult:
+    """Exact assignment vs exhaustive n! search; then, on the EigenAlign
+    scores of one sparse planted pair above `rounding.SORT_DUALS_MIN_N`
+    (solved on sort-matching duals), its exact total vs scipy's raw solve."""
     rng = RngSeed(mix64(seed, 102)).generator()
     for k in range(draws):
         scores = rng.standard_normal((n, n))
@@ -73,8 +78,23 @@ def suite_matching_oracle(seed: int, draws: int = 50, n: int = 6) -> SuiteResult
         if got != best:
             return SuiteResult("assignment-oracle", False,
                                f"draw {k}: assignment weight {got} != brute force {best}")
+    g1, g2, _ = make_instance(planted_n, 0.1, 0.05, 0, seed)
+    scores = spectral.top_eigenvector(align.build_operator(g1, g2)).vector
+    scores = scores.reshape(planted_n, planted_n)
+    if rounding._sort_duals(scores, scores.sum(axis=0) / planted_n) is None:
+        return SuiteResult("assignment-oracle", False,
+                           f"planted n={planted_n}: the guard rejected the sort-matching duals")
+    _, raw = linear_sum_assignment(scores, maximize=True)
+    got, best = (sum(map(Fraction, scores[np.arange(planted_n), mapping].tolist()))
+                 for mapping in (rounding.max_weight_matching(scores).map, raw))
+    if got < best:
+        return SuiteResult("assignment-oracle", False,
+                           f"planted n={planted_n}: exact total {float(got)!r} is below "
+                           f"scipy's raw solve by {float(best - got):.3e}")
     return SuiteResult("assignment-oracle", True,
-                       f"{draws} random {n}x{n} matrices match the exhaustive optimum")
+                       f"{draws} random {n}x{n} matrices match the exhaustive optimum; "
+                       f"the planted n={planted_n} scores' exact total is at least "
+                       "scipy's raw solve's")
 
 
 def suite_eigen_residual(max_n: int, seed: int, draws: int = 20) -> SuiteResult:
@@ -108,7 +128,6 @@ def suite_eigen_residual(max_n: int, seed: int, draws: int = 20) -> SuiteResult:
 
 def suite_noiseless_recovery(seed: int, trials: int = 5, n: int = 15) -> SuiteResult:
     """Both pipelines must align a noiseless planted instance edge-perfectly."""
-    from .harness import make_instance
     for t in range(trials):
         g1, g2, _ = make_instance(n, 0.3, 0.0, t, seed)
         for runner in (align.eigen_align, align.projected_power_align):

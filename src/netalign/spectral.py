@@ -23,7 +23,8 @@ representations of the iterate, chosen from the start and from n alone:
   and the iterate difference are Frobenius quantities of C and W. An
   iteration then costs one sparse matvec per graph and Gram-Schmidt (twice)
   against the basis, O(e + n t), instead of an O(n (e1 + e2) + n²) `apply`.
-  V and A v are built as n x n matrices once, at the end. A basis stops
+  V is built as an n x n matrix once, at the end, and A v only when
+  `EigenResult.product` is first read (only PPA reads it). A basis stops
   growing when the new direction is zero to rounding. For a regular or
   empty graph G 1 is a multiple of 1, so its basis keeps one vector, and C
   is rectangular when the two bases differ in size.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,12 +64,24 @@ class EigenResult:
     iterations: int
     residual: float          # ||A v - value * v||_2 for the returned vector
     converged: bool          # False when the iteration cap was hit
-    product: np.ndarray = field(compare=False, repr=False)
-    """A v for the returned `vector`, read-only; power iteration computes it
-    for the final residual anyway, so a caller that needs A v gets it for
-    free. It is `op.apply(vector)` byte for byte where the `apply` loop runs
-    (a custom start, or n <= `DENSE_MAX_N`). Above that bound it is built
-    from the Krylov coordinates and equals `op.apply(vector)` to rounding."""
+    # A v, or the Krylov factors (Q1, W, Q2) with A v = Q1 W Q2^T.
+    _product: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        compare=False, repr=False)
+
+    @cached_property
+    def product(self) -> np.ndarray:
+        """A v for the returned `vector`, read-only, left out of `==`. Where
+        the `apply` loop runs (a custom start, or n <= `DENSE_MAX_N`) it is
+        the loop's last product, `op.apply(vector)` byte for byte. Above
+        that bound it is built on first access from the Krylov factors the
+        loop kept, an n x n product that EigenAlign never reads, and equals
+        `op.apply(vector)` to rounding."""
+        w = self._product
+        if isinstance(w, tuple):
+            q1, W, q2 = w
+            w = (q1 @ W @ q2.T).reshape(-1)
+        w.flags.writeable = False
+        return w
 
 
 def _norm(x: np.ndarray) -> float:
@@ -143,18 +157,19 @@ def _power_iteration(product, v, tol, max_iters):
     return v, w, value, iterations, residual, converged
 
 
-def _result(op: AlignmentOperator, v, w, value, iterations, residual,
+def _result(op: AlignmentOperator, v, product, value, iterations, residual,
             converged) -> EigenResult:
+    """The result for the loop's iterate v; `product` is A v or its Krylov
+    factors (`EigenResult._product`)."""
     clamped = v.min() < 0  # only a custom start can leave negatives to clamp
     # Clamp roundoff negatives for downstream rounding, in place: v is the
     # loop's own array, and a fresh n² array costs ~700 page faults at n = 600.
     vector = np.maximum(v, 0.0, out=v)
     if clamped:
-        w = op.apply(vector)
+        product = op.apply(vector)
     vector.flags.writeable = False
-    w.flags.writeable = False
     return EigenResult(vector=vector, value=value, iterations=iterations,
-                       residual=residual, converged=converged, product=w)
+                       residual=residual, converged=converged, _product=product)
 
 
 class _KrylovBasis:
@@ -224,5 +239,4 @@ def _krylov_top_eigenvector(op: AlignmentOperator, tol: float,
     c_flat, w_flat, *stats = _power_iteration(product, np.ones(1), tol, max_iters)
     q1, q2 = (basis.q for basis in bases)
     V = q1 @ coefficients(c_flat) @ q2.T
-    AV = q1 @ coefficients(w_flat) @ q2.T
-    return _result(op, V.reshape(op.dim), AV.reshape(op.dim), *stats)
+    return _result(op, V.reshape(op.dim), (q1, coefficients(w_flat), q2), *stats)

@@ -388,6 +388,17 @@ class TestPpaStartProduct:
         projected_power_align(g1, g2)
         assert apply_calls == []
 
+    def test_eigen_align_leaves_the_krylov_product_unbuilt(self, apply_calls):
+        # Above DENSE_MAX_N, A v is built from the Krylov factors when PPA
+        # first reads it; PPA then equals a run on a fresh spectral start.
+        g1, g2 = fresh_pair(n=60, lam=0.05)
+        eigen_align(g1, g2)
+        eig = align._last_start[3]
+        assert "product" not in vars(eig)
+        hit = projected_power_align(g1, g2)
+        assert "product" in vars(eig) and apply_calls == []
+        assert_same_result(hit, projected_power_align(Graph(g1.adjacency), Graph(g2.adjacency)))
+
 
 class TestEstimators:
     def test_fit_matches_functional_api(self):

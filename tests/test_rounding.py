@@ -177,21 +177,170 @@ def test_reduction_chosen_from_n(monkeypatch, n, reduced):
 
 
 # EigenAlign scores above REDUCE_MIN_N: planted instances at p = 0.2 over
-# several noise levels and two seeds, and one sparse pair.
+# several noise levels and two seeds, and one sparse pair. Above
+# SORT_DUALS_MIN_N: planted n = 60, 100 and 200, and match-sparse's instance
+# (n = 600, mean degree 7.5) on its six audit seeds.
 EIGEN_SCORE_INSTANCES = [(n, 0.2, lam, seed) for n in (30, 40, 50)
                          for lam in (0.0, 0.05, 0.1, 0.3) for seed in (3, 7)]
 EIGEN_SCORE_INSTANCES.append((200, 0.02, 0.001, 7))
+EIGEN_SCORE_INSTANCES += [(n, 0.2, lam, 3) for n in (60, 100, 200) for lam in (0.0, 0.1, 0.5)]
+EIGEN_SCORE_INSTANCES += [(600, 0.0125, 0.001, seed) for seed in (1, 2, 3, 5, 6, 4242)]
+
+
+def eigen_scores(n, p, lam, seed):
+    g1, g2, _ = make_instance(n, p, lam, 0, seed)
+    return top_eigenvector(build_operator(g1, g2)).vector.reshape(n, n)
 
 
 @pytest.mark.parametrize("n, p, lam, seed", EIGEN_SCORE_INSTANCES)
-def test_reduced_path_loses_no_exact_total(n, p, lam, seed):
+def test_reduced_path_loses_no_exact_total(n, p, lam, seed, monkeypatch):
     """The reduced solve may break a tie differently from the raw one; the
-    permutation it returns never has a smaller exact total."""
+    permutation it returns never has a smaller exact total. Above
+    SORT_DUALS_MIN_N it is solved on sort-matching duals, and its exact total
+    equals the column-reduced solve's."""
     assert n >= rounding.REDUCE_MIN_N
-    g1, g2, _ = make_instance(n, p, lam, 0, seed)
-    scores = top_eigenvector(build_operator(g1, g2)).vector.reshape(n, n)
+    scores = eigen_scores(n, p, lam, seed)
     mapping = max_weight_matching(scores).map
+    total = oracles.assignment_score_exact(scores, mapping)
     _, raw = linear_sum_assignment(scores, maximize=True)
     if not np.array_equal(mapping, raw):
+        assert total >= oracles.assignment_score_exact(scores, raw)
+    if n >= rounding.SORT_DUALS_MIN_N:
+        assert rounding._sort_duals(scores, scores.sum(axis=0) / n) is not None
+        monkeypatch.setattr(rounding, "SORT_DUALS_MIN_N", n + 1)
+        column_reduced = max_weight_matching(scores).map
+        assert total == oracles.assignment_score_exact(scores, column_reduced)
+
+
+def spy_costs(monkeypatch):
+    """Record the (cost, maximize) of every `linear_sum_assignment` call."""
+    calls = []
+
+    def spy(cost, maximize=False):
+        calls.append((cost, maximize))
+        return linear_sum_assignment(cost, maximize=maximize)
+
+    monkeypatch.setattr(rounding, "linear_sum_assignment", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, reduced", [(rounding.REDUCE_MIN_N - 1, False),
+                                        (rounding.REDUCE_MIN_N, True)])
+def test_reduction_chosen_from_n(monkeypatch, n, reduced):
+    calls = spy_costs(monkeypatch)
+    scores = np.random.default_rng(n).standard_normal((n, n))
+    max_weight_matching(scores)
+    [(cost, maximize)] = calls
+    assert maximize is not reduced
+    expected = scores.mean(axis=0) - scores if reduced else scores
+    assert np.allclose(cost, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["eigen-n50", "eigen-n51", "normal-n60"])
+def test_sort_duals_chosen_from_n_and_scores(monkeypatch, case):
+    """At n = 50 and for scores far from rank one the costs are the column
+    reduction bit for bit; EigenAlign scores at n = 51 take the duals of the
+    sort matching, which pairs rows and columns in the order of the centred
+    scores' leading singular vectors (oracle: a dense SVD)."""
+    n = int(case.rsplit("n", 1)[1])
+    if case.startswith("eigen"):
+        scores = eigen_scores(n, 0.2, 0.05, 11)
+    else:
+        scores = np.random.default_rng(60).standard_normal((n, n))
+    calls = spy_costs(monkeypatch)
+    max_weight_matching(scores)
+    [(cost, maximize)] = calls
+    assert not maximize
+    column_reduced = scores.sum(axis=0) / n - scores
+    if case != "eigen-n51":
+        assert cost.tobytes() == column_reduced.tobytes()
+        return
+    assert n == rounding.SORT_DUALS_MIN_N
+    # cost = u_i + v_j - s_ij, and not the column reduction (u constant).
+    shifts = cost + scores
+    np.testing.assert_allclose(shifts, shifts[:, :1] + shifts[:1] - shifts[0, 0],
+                               rtol=0, atol=1e-15)
+    assert np.ptp(shifts[:, 0]) > 1e-6 * np.abs(scores).max()
+    # Exactly zero on one permutation, which is monotone in the leading
+    # singular vectors.
+    rows, cols = linear_sum_assignment(cost != 0)
+    assert not cost[rows, cols].any()
+    centred = scores - scores.mean(axis=0) - scores.mean(axis=1)[:, None] + scores.mean()
+    left, _, right = np.linalg.svd(centred)
+    x, y = left[:, 0], right[0]
+    order = np.argsort(x)
+    assert np.all(np.diff(x[order]) > 0) and np.all(np.diff(y[cols[order]]) > 0)
+
+
+def with_offsets(matrix, rng):
+    """`matrix` plus large row and column offsets, which change no
+    permutation's rank."""
+    n = matrix.shape[0]
+    return matrix + 100.0 * rng.standard_normal((n, 1)) + 100.0 * rng.standard_normal(n) + 1e3
+
+
+def test_sort_duals_feasible_on_monge_scores():
+    """On scores that are rank one plus offsets, sorted by the factors they
+    are a Monge matrix, and the closed-form duals are feasible (reduced costs
+    nonnegative to rounding) and tight on the sort matching."""
+    rng = np.random.default_rng(61)
+    n = 60
+    scores = with_offsets(np.outer(rng.standard_normal(n), rng.standard_normal(n)), rng)
+    u, v = rounding._sort_duals(scores, scores.sum(axis=0) / n)
+    cost = u[:, None] + v - scores
+    assert cost.min() >= -1e-9
+    # Zero on the sort matching (k, k) and, by the telescoping, on (k, k-1).
+    assert np.count_nonzero(np.abs(cost) <= 1e-9) == 2 * n - 1
+    assert cost[np.arange(n), max_weight_matching(scores).map].sum() <= 1e-9
+
+
+@pytest.mark.parametrize("share, accepted", [(0.3, False), (0.9, True)])
+def test_guard_reads_the_centred_share(share, accepted):
+    """The guard compares the leading singular pair's share of the
+    double-centred scores' squared Frobenius norm with 1/2, whatever the row
+    and column offsets."""
+    rng = np.random.default_rng(62)
+    n = 80
+    centre = np.eye(n) - 1.0 / n
+    x, _ = np.linalg.qr(centre @ rng.standard_normal((n, 4)))
+    y, _ = np.linalg.qr(centre @ rng.standard_normal((n, 4)))
+    sigma2 = np.array([share, *[(1 - share) / 3] * 3])
+    scores = with_offsets(x @ np.diag(np.sqrt(sigma2)) @ y.T, rng)
+    assert (rounding._sort_duals(scores, scores.sum(axis=0) / n) is not None) is accepted
+
+
+@pytest.fixture
+def sort_duals_at_every_matrix(monkeypatch):
+    """Solve every exact assignment from n = 1 on sort-matching duals, with
+    the guard off."""
+    monkeypatch.setattr(rounding, "REDUCE_MIN_N", 1)
+    monkeypatch.setattr(rounding, "SORT_DUALS_MIN_N", 1)
+    monkeypatch.setattr(rounding, "SORT_DUALS_MIN_SHARE", 0.0)
+
+
+@pytest.mark.usefixtures("sort_duals_at_every_matrix")
+class TestMaxWeightMatchingSortDuals(TestMaxWeightMatching):
+    """TestMaxWeightMatching, and exact totals on integral scores at
+    n = 51-80, with every assignment solved on sort-matching duals."""
+
+    @given(st.integers(min_value=51, max_value=80), st.integers(min_value=0, max_value=2**31),
+           st.sampled_from(["integral", "tied", "rank-one-ties", "constant"]))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_total_equals_raw_solve(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "integral":
+            scores = np.round(10 * rng.standard_normal((n, n)))
+        elif kind == "tied":
+            scores = rng.integers(0, 3, (n, n)).astype(float)
+        elif kind == "rank-one-ties":
+            # few distinct factors, so whole rows and columns tie, and small
+            # integral noise that makes the scores only nearly Monge
+            x, y = rng.integers(1, 4, n), rng.integers(1, 4, n)
+            scores = (np.outer(x, y) * 100 + rng.integers(0, 2, (n, n))).astype(float)
+        else:
+            scores = np.full((n, n), 7.0)
+        mapping = max_weight_matching(scores).map
+        assert sorted(mapping.tolist()) == list(range(n))
+        _, raw = linear_sum_assignment(scores, maximize=True)
         assert (oracles.assignment_score_exact(scores, mapping)
-                >= oracles.assignment_score_exact(scores, raw))
+                == oracles.assignment_score_exact(scores, raw))

@@ -323,10 +323,21 @@ class TestProduct:
         assert res.product.tobytes() == op.apply(res.vector).tobytes()
         assert not res.product.flags.writeable
 
+    def test_built_on_first_read_above_the_bound(self):
+        op = KRYLOV_CASES["planted-n120"]()
+        res = top_eigenvector(op)
+        assert "product" not in vars(res)
+        product = res.product
+        assert res.product is product and not product.flags.writeable
+        expected = op.apply(res.vector)
+        assert np.linalg.norm(product - expected) <= 1e-13 * np.linalg.norm(expected)
+
     def test_left_out_of_equality(self):
         op, _ = random_operator(5, 109)
         res = top_eigenvector(op)
-        assert res == dataclasses.replace(res, product=np.zeros(25))
+        other = dataclasses.replace(res, _product=np.zeros(25))
+        assert not other.product.any()
+        assert res == other
 
 
 class TestValidation:
