@@ -127,14 +127,17 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        adj = np.zeros((n, n), dtype=bool)
-        for i, j in edges:
+        pairs = np.asarray(list(edges))
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValueError(f"vertex ids must be integers, got dtype {pairs.dtype}")
+        pairs = pairs.astype(np.int64).reshape(-1, 2)
+        bad = ((pairs < 0) | (pairs >= n)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
+        if bad.any():
+            i, j = pairs[bad.argmax()].tolist()  # the first bad edge
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"vertex id out of range: ({i}, {j}) with n={n}")
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            adj[i, j] = adj[j, i] = True
-        return cls(adj)
+            raise ValueError(f"self-loop at vertex {i}")
+        return _edge_graph(n, pairs[:, 0], pairs[:, 1])
 
     @property
     def n(self) -> int:
@@ -321,11 +324,21 @@ def matched_edges(g1: Graph, g2: Graph, perm: Permutation) -> int:
     return int(np.count_nonzero(g1.adjacency & relabeled)) // 2
 
 
+def _edge_graph(n: int, rows, cols) -> Graph:
+    """The graph on n vertices with the edges (rows[k], cols[k]), from index
+    sequences already checked in range and loop-free; repeats collapse."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[rows, cols] = True
+    adj[cols, rows] = True
+    return Graph._trusted(adj)
+
+
 def parse_edge_list(text: str | IO[str]) -> Graph:
     """Parse the edge-list text format documented in the module docstring."""
     stream = io.StringIO(text) if isinstance(text, str) else text
     n: int | None = None
-    edges: list[tuple[int, int]] = []
+    rows: list[int] = []
+    cols: list[int] = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -354,10 +367,11 @@ def parse_edge_list(text: str | IO[str]) -> Graph:
             raise ValueError(f"line {lineno}: self-loop at vertex {i}")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"line {lineno}: vertex id out of range 0..{n - 1}")
-        edges.append((min(i, j), max(i, j)))
+        rows.append(i)
+        cols.append(j)
     if n is None:
         raise ValueError("missing 'n <count>' header line")
-    return Graph.from_edges(n, set(edges))
+    return _edge_graph(n, rows, cols)
 
 
 def format_edge_list(g: Graph) -> str:

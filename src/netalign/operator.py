@@ -8,48 +8,28 @@ materialized as an n² x n² matrix. With J the all-ones n x n matrix,
 
     A = (s1 + s2 - 2 s3) G1⊗G2 + (s3 - s2) (G1⊗J + J⊗G2) + s2 J⊗J,
 
-and `apply` computes A v in one of two ways, chosen once per operator:
-
-- Sparse: U = k G1 V G2 + (s3 - s2) (G1 V J + J V G2) + s2 J V J with
-  k = s1 + s2 - 2 s3, i.e. two sparse congruence products plus rank-one
-  corrections, O(n * (e1 + e2) + n^2) per apply.
-- Dense factored: completing the square in the Kronecker factors,
-  A = k M1⊗M2 + d 11^T with M_i = G_i + c J. Expanding k M1⊗M2 gives
-  k G1⊗G2 + k c (G1⊗J + J⊗G2) + k c² J⊗J, so matching terms gives
-  c = (s3 - s2) / k and d = s2 - (s3 - s2)² / k = (s1 s2 - s3²) / k, which
-  is positive because s1, s2 > s3 > 0. Then U = (k M1) V M2 + d * sum(V):
-  two n x n GEMMs and a sum, O(n^3) per apply. k M1 and M2 are built on
-  the first dense apply and kept.
-
-`apply` takes the dense product for n <= `DENSE_MAX_N` and the sparse one
-above, whatever the fill. The bound is the largest n that a benchmark
-workload runs (the reduced sweep, n <= 50). Measured per apply (2-core Xeon,
-AVX-512 OpenBLAS), sparse time over dense time is 2.2-3.0 at n <= 50 at
-every fill (nnz1 + nnz2) / n², and the `match` path at n = 600, p = 0.0125
-is no faster dense (22.5 vs 21.0 ms). At n <= 50 the two GEMMs take the
-same time with one or two OpenBLAS threads (OpenBLAS keeps a GEMM this
-small on one thread), so the CLI's default BLAS threads do not move that
-crossover. Between those sizes the ratio depends on n and the
-fill (0.9-1.1 at n = 100 and fill <= 0.05, 0.5-0.8 at n >= 250 and fill
-0.02, above 1 again at fill 0.2), and no workload measures it end to end
-yet. The two products agree to rounding (~2e-16 relative) but not bit for
-bit, and the dense one's last bits depend on the BLAS build and its
+and `apply` computes A v in factored form. Completing the square in the
+Kronecker factors, A = k M1⊗M2 + d 11^T with M_i = G_i + c J and
+k = s1 + s2 - 2 s3. Expanding k M1⊗M2 gives
+k G1⊗G2 + k c (G1⊗J + J⊗G2) + k c² J⊗J, so matching terms gives
+c = (s3 - s2) / k and d = s2 - (s3 - s2)² / k = (s1 s2 - s3²) / k, which is
+positive because s1, s2 > s3 > 0. Then U = (k M1) V M2 + d * sum(V): two
+n x n GEMMs and a sum, O(n^3) per apply. k M1 and M2 are built on the first
+`apply` and kept. The last bits of U depend on the BLAS build and its
 kernels; on tie-heavy inputs that can move an eigenvector's rounding to a
 permutation.
 
 Power iteration (`spectral.top_eigenvector`) calls `apply` from a custom
-start and at n <= `DENSE_MAX_N`. From the uniform start above that bound it
-never forms a length-n² vector: it iterates on Krylov bases of G1 and G2
-built from `kronecker_scalars` and the graphs' CSR arrays. That loop is
-13-31x faster than the sparse `apply` loop at n = 400-1000, 1.4-2.6x at
-n = 60, and 1.6-3x slower than the dense `apply` loop at n <= 50 (the
+start and at n <= `spectral.DENSE_MAX_N`. From the uniform start above that
+bound it never forms a length-n² vector: it iterates on Krylov bases of G1
+and G2 built from `kronecker_scalars` and the graphs' CSR arrays (the
 measurements are in the `spectral` docstring).
 
 For the 0/1 vectorization of a permutation pi, G1 V G2 = G1 @ G2[pi] and the
 row and column sums of V are all ones, so `permutation_product` needs one
-sparse-dense product with an integer-valued result (it always takes that
-exact sparse route). The objective y^T A y of a permutation has a closed
-form in its matched-edge count (`permutation_objective`, `quadratic_form`).
+sparse-dense product with an integer-valued result. The objective y^T A y of
+a permutation has a closed form in its matched-edge count
+(`permutation_objective`, `quadratic_form`).
 `dense_alignment_matrix` builds the full n² x n² matrix entry by entry from
 the scoring rule alone and exists purely as a verification oracle for small
 n.
@@ -85,9 +65,6 @@ __all__ = [
 
 DEFAULT_EPSILON = 0.001
 DENSE_ORACLE_CAP = 12
-# `apply` takes the dense factored product up to DENSE_MAX_N vertices (see
-# the module docstring).
-DENSE_MAX_N = 50
 
 
 class DegenerateBalanceError(ValueError):
@@ -179,7 +156,7 @@ class AlignmentOperator:
 
     Immutable after construction (the dense factors are built on first use);
     `apply` and `permutation_product` are pure functions and safe to call
-    concurrently. `apply` takes the dense product iff n <= `DENSE_MAX_N`.
+    concurrently.
     """
 
     def __init__(self, g1: Graph, g2: Graph, params: ScoringParams):
@@ -189,12 +166,9 @@ class AlignmentOperator:
         self.params = params
         self.n = g1.n
         self.dim = g1.n * g1.n
-        self._a1 = g1.csr()
-        self._a2 = g2.csr()
         p = params
         self._k_quad = p.s1 + p.s2 - 2.0 * p.s3
         self._k_lin = p.s3 - p.s2
-        self._dense = self.n <= DENSE_MAX_N
 
     # Built on first use, so only `permutation_product` callers pay for them.
     @cached_property
@@ -213,61 +187,37 @@ class AlignmentOperator:
         k = self._k_quad
         return k, self._k_lin / k, self.params.s2 - self._k_lin ** 2 / k
 
-    # Built on the first dense `apply`: (k M1, M2, d) with M_i = G_i + c J.
+    # Built on the first `apply`: (k M1, M2, d) with M_i = G_i + c J.
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, float]:
         k, c, d = self.kronecker_scalars
         return k * (self.g1.adjacency + c), self.g2.adjacency + c, d
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Operator-vector product without materializing the matrix, by the
-        dense factored product for n <= `DENSE_MAX_N`, else the sparse one."""
+        """Operator-vector product without materializing the matrix: A v as
+        the n x n matrix (k M1) V M2 + d * sum(V), flattened."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"vector must have length {self.dim}, got shape {v.shape}")
         # C order first, so strided and contiguous inputs give the same bytes.
         V = np.ascontiguousarray(v).reshape(self.n, self.n)
-        U = self._dense_product(V) if self._dense else self._sparse_product(V)
-        return U.reshape(self.dim)
-
-    def _dense_product(self, V: np.ndarray) -> np.ndarray:
-        """A v as the n x n matrix (k M1) V M2 + d * sum(V)."""
         m1, m2, d = self._factors
         U = m1 @ V @ m2
         U += d * V.sum()
-        return U
-
-    def _sparse_product(self, V: np.ndarray) -> np.ndarray:
-        """A v as an n x n matrix from sparse products and rank-one terms."""
-        # Quadratic term: G1 V G2 via two sparse-dense products; V G2 is taken
-        # as (G2 (G1 V)^T)^T since G2 is symmetric, which adds the same terms
-        # in the same order without transposing G2 on every call. U is built
-        # in C order so the final reshape is a view. Y lives until return on
-        # purpose: deleting it right after use made glibc hand the heap top
-        # back and fault it in again on the next call (measured at n = 600
-        # when power iteration still made five `apply` calls there: 2.8k
-        # minor page faults per eigen stage became 19k).
-        Y = _csr_product(self._a2, _csr_product(self._a1, V).T)
-        U = np.multiply(Y.T, self._k_quad, order="C")
-        # Rank-one corrections: G1 V J has constant rows G1 @ rowsums(V),
-        # J V G2 constant columns G2 @ colsums(V) (G2 symmetric).
-        row = _csr_product(self._a1, V.sum(axis=1))
-        col = _csr_product(self._a2, V.sum(axis=0))
-        U += self._k_lin * (row[:, None] + col[None, :])
-        U += self.params.s2 * V.sum()
-        return U
+        return U.reshape(self.dim)
 
     def permutation_product(self, perm: Permutation) -> np.ndarray:
-        """The sparse product of `permutation_vector(n, perm)` as an n x n
-        matrix, bit for bit, whichever product `apply` takes.
+        """A y for y = `permutation_vector(n, perm)`, as an n x n matrix.
 
+        With V the permutation matrix, A y is
+        k G1 V G2 + (s3 - s2) (G1 V J + J V G2) + s2 J V J. Here
         G1 V G2 = G1 @ G2[perm] holds integer counts, so one sparse-dense
-        product gives exactly what the sparse product computes in two; the
-        degree and constant terms then follow in its order of operations.
+        product gives it exactly, and the rank-one terms are the degree
+        sums and s2 n. It equals `apply(y)` to rounding.
         """
         if len(perm) != self.n:
             raise ValueError(f"permutation length {len(perm)} != operator size {self.n}")
-        U = self._k_quad * _csr_product(self._a1, self._dense2[perm.map])
+        U = self._k_quad * _csr_product(self.g1.csr(), self._dense2[perm.map])
         U += self._degree_term
         U += self.params.s2 * float(self.n)
         return U

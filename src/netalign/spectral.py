@@ -22,7 +22,7 @@ representations of the iterate, chosen from the start and from n alone:
   Q_i'^T G_i Q_i + c n e0 e0^T. Norms, the Rayleigh quotient, the residual
   and the iterate difference are Frobenius quantities of C and W. An
   iteration then costs one sparse matvec per graph and Gram-Schmidt (twice)
-  against the basis, O(e + n t), instead of an O(n (e1 + e2) + n²) `apply`.
+  against the basis, O(e + n t), instead of an O(n³) `apply`.
   V is built as an n x n matrix once, at the end, and A v only when
   `EigenResult.product` is first read (only PPA reads it). A basis stops
   growing when the new direction is zero to rounding. For a regular or
@@ -31,13 +31,16 @@ representations of the iterate, chosen from the start and from n alone:
 
 Both representations take the same iterates, stopping rule and iteration
 counts; their results agree to rounding (~1e-15 relative), not bit for bit.
-Measured on planted pairs (best of 9, one BLAS thread, 2-core Xeon with
-AVX-512 OpenBLAS), the Krylov loop against the `apply` loop takes 3.7 vs
-49 ms at n = 600, p = 0.0125; 2.3 vs 71 ms at n = 400, p = 0.2; 6.0 vs
-147 ms at n = 1000, p = 0.005; 0.46-0.55 vs 0.65-1.41 ms at n = 60. At
-n = 10-50 it takes about 0.5 ms against 0.16-0.32 ms for the dense `apply`
-loop, 1.6-3x slower. Hence the bound: at n <= `DENSE_MAX_N` the `apply`
-loop runs, and its results stay bit for bit those of the earlier code.
+`DENSE_MAX_N` is the only size switch between them; the operator itself has
+one product at every n. Measured on planted pairs (best of 5, one BLAS
+thread, 2-core Xeon with AVX-512 OpenBLAS, λ = 0.05), the Krylov loop
+against the `apply` loop takes 1.2 vs 112 ms at n = 600, p = 0.0125;
+0.78 vs 11.8 ms at n = 250, p = 0.02; 0.58 vs 1.5 ms at n = 120, p = 0.05;
+but 0.60 vs 0.38-0.46 ms at n = 60, p = 0.05-0.2, and at n = 10-50 about
+0.5 ms against 0.16-0.32 ms, 1.6-3x slower. The bound is the largest n of
+the reduced sweep, so at n <= `DENSE_MAX_N` the `apply` loop runs and its
+results stay bit for bit those of the earlier code; above it EigenAlign's
+bytes are those of the Krylov loop.
 """
 
 from __future__ import annotations
@@ -49,12 +52,15 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph
-from .operator import DENSE_MAX_N, AlignmentOperator, _csr_product
+from .operator import AlignmentOperator, _csr_product
 
 __all__ = ["EigenResult", "top_eigenvector"]
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 1000
+# From the uniform start, the `apply` loop runs up to DENSE_MAX_N vertices
+# and the Kronecker-Krylov loop above (see the module docstring).
+DENSE_MAX_N = 50
 
 
 @dataclass(frozen=True)
@@ -68,14 +74,24 @@ class EigenResult:
     _product: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         compare=False, repr=False)
 
+    def __eq__(self, other: object) -> bool:
+        """Equal vectors (by value) and equal scalar fields; `product` is
+        left out, since it follows from the vector."""
+        if not isinstance(other, EigenResult):
+            return NotImplemented
+        return (np.array_equal(self.vector, other.vector)
+                and (self.value, self.iterations, self.residual, self.converged)
+                == (other.value, other.iterations, other.residual, other.converged))
+
     @cached_property
     def product(self) -> np.ndarray:
         """A v for the returned `vector`, read-only, left out of `==`. Where
         the `apply` loop runs (a custom start, or n <= `DENSE_MAX_N`) it is
-        the loop's last product, `op.apply(vector)` byte for byte. Above
-        that bound it is built on first access from the Krylov factors the
-        loop kept, an n x n product that EigenAlign never reads, and equals
-        `op.apply(vector)` to rounding."""
+        the loop's last product, `op.apply(vector)` byte for byte: the
+        operator's dense factored product. Above that bound it is built on
+        first access from the Krylov factors the loop kept, an n x n product
+        that EigenAlign never reads, and equals `op.apply(vector)` to
+        rounding."""
         w = self._product
         if isinstance(w, tuple):
             q1, W, q2 = w

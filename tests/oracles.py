@@ -255,10 +255,16 @@ def ppa_capped_loop(op, v0, project, max_iters, return_best):
 
 
 def apply_public_matmul(op, v):
-    """AlignmentOperator.apply through scipy's public `csr_array @ dense`.
+    """A v as the sparse congruence product, through scipy's public
+    `csr_array @ dense`: U = k G1 V G2 + (s3 - s2) (G1 V J + J V G2)
+    + s2 J V J, two sparse-dense products plus rank-one corrections.
 
-    The operator's earlier code, with the CSR views rebuilt through
-    `csr_via_dense` and the coefficients recomputed from `op.params`.
+    `AlignmentOperator.apply` computed exactly this, bit for bit, on graphs
+    above 50 vertices until it was reduced to its one dense factored
+    product; this function is now the only record of that product. The
+    CSR views are rebuilt through `csr_via_dense` and the coefficients
+    recomputed from `op.params`. It agrees with `apply` to rounding, and
+    with `permutation_product` of a permutation vector bit for bit.
     """
     p = op.params
     k_quad = p.s1 + p.s2 - 2.0 * p.s3
@@ -289,3 +295,19 @@ def permutation_product_public_matmul(op, mapping):
     U += k_lin * (deg1[:, None] + deg2[None, :])
     U += p.s2 * float(op.n)
     return U
+
+
+def apply_factored_matmul(op, v):
+    """AlignmentOperator.apply through numpy's public `@`: (k M1) V M2 plus
+    d * sum(V), with M_i = G_i + c J and (k, c, d) recomputed from
+    `op.params`."""
+    p = op.params
+    k = p.s1 + p.s2 - 2.0 * p.s3
+    k_lin = p.s3 - p.s2
+    c = k_lin / k
+    d = p.s2 - k_lin ** 2 / k
+    n = op.n
+    V = np.array(v, dtype=np.float64).reshape(n, n)
+    U = (k * (np.asarray(op.g1.adjacency) + c)) @ V @ (np.asarray(op.g2.adjacency) + c)
+    U += d * V.sum()
+    return U.reshape(n * n)

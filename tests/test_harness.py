@@ -6,7 +6,6 @@ import pytest
 
 import netalign.align as align
 import netalign.harness as harness
-import netalign.operator as operator
 from netalign.align import build_operator, eigen_align, projected_power_align
 from netalign.graphs import MAX_EDGE_LIST_VERTICES
 from netalign.harness import (ALGORITHMS, CSV_HEADER, CellSummary, GridSpec,
@@ -17,7 +16,7 @@ from netalign.harness import (ALGORITHMS, CSV_HEADER, CellSummary, GridSpec,
                               STREAM_PERM)
 from netalign.operator import quadratic_form
 from netalign.rounding import max_weight_matching
-from netalign.spectral import top_eigenvector
+from netalign.spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, top_eigenvector
 
 import oracles
 
@@ -223,30 +222,31 @@ class TestRunGrid:
         # Small-n grids are full of score ties, so any change to the order of
         # floating-point operations in the matchers tends to show up here.
         # The grid runs on the dense product; where its EigenAlign
-        # permutations differ from the sparse product's they tie (next test).
+        # permutations differ from those of the sparse congruence product
+        # (oracle) they tie (next test).
         sink = io.StringIO()
         write_csv(run_grid(PINNED_GRID), sink)
         assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == (
             "70ed35506b0cc56cd27f4ad5629f2a1961949daf20c72e7d209983693a9f56d5")
 
-    def test_dense_product_moves_only_tied_eigenalign_permutations(self, monkeypatch):
-        # EigenAlign on the pinned grid with the dense and the sparse product:
-        # wherever the two permutations differ, they score within 4 ulps of
-        # each other on the exact top eigenvector (oracle), i.e. they tie.
+    def test_dense_product_moves_only_tied_eigenalign_permutations(self):
+        # EigenAlign on the pinned grid with the dense product and with the
+        # sparse congruence product (oracle, the power loop of the earlier
+        # code bit for bit): wherever the two permutations differ, they score
+        # within 4 ulps of each other on the exact top eigenvector (oracle),
+        # i.e. they tie.
         changed = 0
         for n in PINNED_GRID.n_list:
             for lam in PINNED_GRID.lambda_list:
                 for trial in range(PINNED_GRID.trials):
                     g1, g2, _ = make_instance(n, PINNED_GRID.p, lam, trial,
                                               PINNED_GRID.base_seed)
-                    perms = []
-                    for dense_max_n in (operator.DENSE_MAX_N, 0):
-                        with monkeypatch.context() as patch:
-                            patch.setattr(operator, "DENSE_MAX_N", dense_max_n)
-                            op = build_operator(g1, g2)
-                        assert op._dense == (dense_max_n > 0)
-                        vector = top_eigenvector(op).vector.reshape(n, n)
-                        perms.append(max_weight_matching(vector).map)
+                    op = build_operator(g1, g2)
+                    sparse, *_ = oracles.power_iteration_linalg_norm(
+                        lambda v: oracles.apply_public_matmul(op, v), n,
+                        DEFAULT_TOL, DEFAULT_MAX_ITERS)
+                    perms = [max_weight_matching(vector.reshape(n, n)).map
+                             for vector in (top_eigenvector(op).vector, sparse)]
                     if np.array_equal(*perms):
                         continue
                     changed += 1

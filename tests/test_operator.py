@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from netalign.graphs import (Graph, Permutation, RngSeed, generate_er, matched_edges,
                              random_permutation)
-from netalign import operator
+from netalign import align, operator
+from netalign.align import AlignConfig, build_operator, eigen_align, projected_power_align
 from netalign.harness import make_instance
 from netalign.operator import (AlignmentOperator, DegenerateBalanceError,
                                ScoringParams, compute_alpha,
@@ -26,19 +27,6 @@ def empty_graph(n):
 def random_pair(n, seed, p=0.5):
     return (generate_er(n, p, RngSeed(seed, 1)),
             generate_er(n, p, RngSeed(seed, 2)))
-
-
-def on_sparse_product(op):
-    """The same operator built with the dense product's size bound at 0, so
-    that `apply` takes the sparse product."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(operator, "DENSE_MAX_N", 0)
-        return AlignmentOperator(op.g1, op.g2, op.params)
-
-
-def sparse_product(op, v):
-    """The operator's sparse product of v, whichever product `apply` takes."""
-    return op._sparse_product(np.asarray(v, dtype=np.float64).reshape(op.n, op.n)).reshape(-1)
 
 
 class TestComputeAlpha:
@@ -210,13 +198,12 @@ class TestApply:
         op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
         with pytest.raises(ValueError):
             op.apply(np.ones(15))
-        # A scalar or a (1, 1) array is not a length-1 vector, on either product.
+        # A scalar or a (1, 1) array is not a length-1 vector.
         g = empty_graph(1)
-        dense = AlignmentOperator(g, g, make_params(1.0))
-        for op in (dense, on_sparse_product(dense)):
-            for bad in (2.0, np.float64(2.0), np.ones((1, 1))):
-                with pytest.raises(ValueError):
-                    op.apply(bad)
+        op = AlignmentOperator(g, g, make_params(1.0))
+        for bad in (2.0, np.float64(2.0), np.ones((1, 1))):
+            with pytest.raises(ValueError):
+                op.apply(bad)
 
     def test_kron_decomposition_identity(self):
         # dense A == k_quad*(G1 (x) G2) + k_lin*(G1 (x) J + J (x) G2) + s2*(J (x) J)
@@ -270,11 +257,11 @@ class TestPermutationProduct:
     @example((complete_graph(4), empty_graph(4), Permutation([2, 0, 3, 1])))
     @settings(max_examples=150, deadline=None)
     def test_bitwise_equal_to_apply(self, case):
-        # The sparse product, which `apply` takes above the dense sizes.
+        # The sparse congruence product of the permutation vector (oracle).
         g1, g2, sigma = case
         op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
         n = op.n
-        expected = sparse_product(op, permutation_vector(n, sigma)).reshape(n, n)
+        expected = oracles.apply_public_matmul(op, permutation_vector(n, sigma)).reshape(n, n)
         assert np.array_equal(op.permutation_product(sigma), expected)
 
     def test_size_mismatch(self):
@@ -319,9 +306,9 @@ def assert_same_bytes(got, expected):
 
 
 class TestCsrKernels:
-    """The sparse product and `permutation_product` call scipy's CSR kernels
-    directly; they equal the public-`@` versions (`oracles`) byte for byte.
-    `apply` is pinned on operators that take the sparse product."""
+    """`permutation_product` calls scipy's CSR kernels directly and equals
+    its public-`@` version (`oracles`) byte for byte. `apply` is pinned byte
+    for byte to its factored product through numpy's public `@`."""
 
     @given(operator_and_vector())
     @example((AlignmentOperator(empty_graph(1), empty_graph(1), make_params(1.0)),
@@ -331,9 +318,8 @@ class TestCsrKernels:
     @settings(max_examples=200, deadline=None)
     def test_apply_bitwise_equal_to_public_matmul(self, case):
         op, v, use_strided = case
-        op = on_sparse_product(op)
         arg = strided(v) if use_strided else v
-        assert_same_bytes(op.apply(arg), oracles.apply_public_matmul(op, v))
+        assert_same_bytes(op.apply(arg), oracles.apply_factored_matmul(op, v))
 
     @given(operator_and_vector())
     @settings(max_examples=100, deadline=None)
@@ -345,12 +331,11 @@ class TestCsrKernels:
 
     def test_result_is_a_fresh_writeable_vector(self):
         g1, g2 = random_pair(6, 40)
-        dense = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
+        op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
         v = np.linspace(-1.0, 1.0, 36)
-        for op in (dense, on_sparse_product(dense)):
-            w = op.apply(v)
-            assert w.shape == (36,) and w.flags.c_contiguous and w.flags.writeable
-            assert not np.shares_memory(w, v)
+        w = op.apply(v)
+        assert w.shape == (36,) and w.flags.c_contiguous and w.flags.writeable
+        assert not np.shares_memory(w, v)
 
     def test_kernels_receive_c_order_operands(self, monkeypatch):
         # scipy's private wrapper happens to copy a strided operand itself;
@@ -377,18 +362,29 @@ class TestCsrKernels:
     def test_sparse_planted_pair_n600(self, trial):
         g1, g2, _ = make_instance(600, 0.0125, 0.001, trial, 7)
         op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
-        assert not op._dense
         v = RngSeed(600, trial).generator().random(op.dim)
-        assert_same_bytes(op.apply(v), oracles.apply_public_matmul(op, v))
-        assert_same_bytes(op.apply(strided(v)), oracles.apply_public_matmul(op, v))
+        got = op.apply(v)
+        assert_agrees_to_rounding(got, op, v)
+        assert_same_bytes(op.apply(strided(v)), got)
         sigma = random_permutation(600, RngSeed(601, trial))
         assert_same_bytes(op.permutation_product(sigma),
                           oracles.permutation_product_public_matmul(op, sigma.map))
 
 
+def assert_agrees_to_rounding(got, op, v):
+    """`got` is A v to rounding, against the sparse congruence product
+    `oracles.apply_public_matmul`, relative to A|v| (A is entrywise
+    positive), the scale of the rounding error of either product; A v
+    itself can cancel."""
+    expected = oracles.apply_public_matmul(op, v)
+    scale = np.linalg.norm(oracles.apply_public_matmul(op, np.abs(v)))
+    assert np.linalg.norm(got - expected) <= 1e-14 * max(scale, 1e-300)
+
+
 class TestDenseProduct:
     """`apply`'s dense factored product (k M1) V M2 + d * sum(V) equals the
-    sparse product up to rounding, and the dispatch picks it where it wins."""
+    sparse congruence product (`oracles.apply_public_matmul`) up to
+    rounding."""
 
     @given(operator_and_vector())
     @example((AlignmentOperator(empty_graph(1), empty_graph(1), make_params(1.0)),
@@ -398,15 +394,10 @@ class TestDenseProduct:
     @example((AlignmentOperator(complete_graph(12), complete_graph(12), make_params(50.0)),
               RngSeed(2, 1).generator().standard_normal(144), False))
     @settings(max_examples=200, deadline=None)
-    def test_agrees_with_sparse_product(self, case):
+    def test_agrees_with_congruence_product(self, case):
         op, v, use_strided = case
-        assert op._dense
         got = op.apply(strided(v) if use_strided else v)
-        expected = sparse_product(op, v)
-        # Relative to A|v| (A is entrywise positive), the scale of the
-        # rounding error of either product; A v itself can cancel.
-        scale = np.linalg.norm(sparse_product(op, np.abs(v)))
-        assert np.linalg.norm(got - expected) <= 1e-14 * max(scale, 1e-300)
+        assert_agrees_to_rounding(got, op, v)
         assert_same_bytes(got, op.apply(v))  # memory layout does not matter
 
     def test_factors_rebuild_the_dense_oracle(self):
@@ -419,32 +410,22 @@ class TestDenseProduct:
         np.testing.assert_allclose(rebuilt, dense, rtol=0, atol=1e-14 * dense.max())
         assert d > 0
 
-    @pytest.mark.parametrize("n", [10, 20, 30, 40, 50])
-    def test_sweep_sizes_take_dense(self, n):
-        g1, g2, _ = make_instance(n, 0.2, 0.05, 0, 7)
-        assert AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))._dense
+    def test_sparse_operator_builds_no_factors(self, monkeypatch):
+        # Above n = 50 the pipelines never call `apply`: EigenAlign then PPA
+        # on the match-sparse instance build neither n x n factor matrix.
+        ops = []
 
-    def test_sparse_n600_takes_sparse(self):
+        def recording(*args):
+            ops.append(build_operator(*args))
+            return ops[-1]
+
+        monkeypatch.setattr(align, "build_operator", recording)
         g1, g2, _ = make_instance(600, 0.0125, 0.001, 0, 7)
-        assert not AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))._dense
-
-    @pytest.mark.parametrize("graph", [empty_graph, complete_graph])
-    def test_dispatch_on_n_alone(self, graph):
-        # Dense up to the size bound and sparse above it, whatever the fill.
-        top = operator.DENSE_MAX_N
-        for n, dense in ((1, True), (top, True), (top + 1, False)):
-            g = graph(n)
-            op = AlignmentOperator(g, g, make_params(1.0))
-            assert op._dense == dense
-            op.apply(np.ones(op.dim))
-            assert ("_factors" in vars(op)) == dense
-
-    def test_sparse_operator_builds_no_factors(self):
-        g1, g2, _ = make_instance(600, 0.0125, 0.001, 0, 7)
-        op = AlignmentOperator(g1, g2, make_params(compute_alpha(g1, g2)))
-        op.apply(np.ones(op.dim))
-        op.permutation_product(Permutation.identity(600))
-        assert "_factors" not in vars(op)
+        cfg = AlignConfig(ppa_max_iters=3)
+        eigen_align(g1, g2, cfg)
+        projected_power_align(g1, g2, cfg)
+        assert len(ops) == 2
+        assert all("_factors" not in vars(op) for op in ops)
 
 
 class TestQuadraticForm:

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from netalign.graphs import (Graph, RngSeed, apply_noise, generate_er, permute,
                              random_permutation)
 from netalign.operator import (AlignmentOperator, DegenerateBalanceError,
                                compute_alpha, dense_alignment_matrix, make_params)
-from netalign import operator, spectral
+from netalign import spectral
 from netalign.spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, top_eigenvector
 
 import oracles
@@ -164,10 +165,10 @@ def planted_operator(n, p, lam, seed):
 
 def apply_loop_start(op):
     """A start that keeps the `apply` loop at any n: None (the uniform start)
-    up to `DENSE_MAX_N`, else ones, whose normalisation ones / n is the
+    up to `spectral.DENSE_MAX_N`, else ones, whose normalisation ones / n is the
     uniform start bit for bit (its norm, sqrt(n²), is exact). From the
     uniform start above the bound `TestKrylovLoop` checks the Krylov loop."""
-    return None if op.n <= operator.DENSE_MAX_N else np.ones(op.dim)
+    return None if op.n <= spectral.DENSE_MAX_N else np.ones(op.dim)
 
 
 class TestAgainstEarlierImplementation:
@@ -229,7 +230,7 @@ class TestKrylovLoop:
     ])
     def test_matches_apply_loop(self, case, tol, max_iters, monkeypatch):
         op = KRYLOV_CASES[case]()
-        assert op.n > operator.DENSE_MAX_N
+        assert op.n > spectral.DENSE_MAX_N
         applied = []
         with monkeypatch.context() as patch:
             patch.setattr(AlignmentOperator, "apply", lambda op, v: applied.append(v))
@@ -247,6 +248,22 @@ class TestKrylovLoop:
         expected = op.apply(res.vector)
         assert np.linalg.norm(res.product - expected) <= 1e-13 * np.linalg.norm(expected)
         assert not res.vector.flags.writeable and not res.product.flags.writeable
+
+    @pytest.mark.parametrize("fill", [False, True], ids=["empty", "complete"])
+    def test_loop_chosen_from_n_alone(self, fill, monkeypatch):
+        # From the uniform start: the `apply` loop up to the bound, the
+        # Krylov loop above it, whatever the fill.
+        applied = []
+        original = AlignmentOperator.apply
+        monkeypatch.setattr(AlignmentOperator, "apply",
+                            lambda op, v: applied.append(op.n) or original(op, v))
+        top = spectral.DENSE_MAX_N
+        for n in (1, top, top + 1):
+            adj = np.full((n, n), fill)
+            np.fill_diagonal(adj, False)
+            g = Graph(adj)
+            top_eigenvector(AlignmentOperator(g, g, make_params(1.0)))
+        assert set(applied) == {1, top}
 
     @pytest.mark.parametrize("graph", [cycle_graph(80), Graph(np.zeros((70, 70), dtype=bool)),
                                        Graph(~np.eye(60, dtype=bool))],
@@ -286,9 +303,10 @@ class TestKrylovLoop:
 
 class TestProduct:
     """Wherever the `apply` loop runs, `EigenResult.product` is
-    `op.apply(vector)` byte for byte, read-only, and left out of `==`. On the
-    sparse product it is also the public-`@` product. From the uniform start
-    above `DENSE_MAX_N`, `TestKrylovLoop` checks it to rounding."""
+    `op.apply(vector)` byte for byte, read-only, and left out of `==`; it
+    equals the sparse congruence product (`oracles.apply_public_matmul`) to
+    rounding. From the uniform start above `DENSE_MAX_N`, `TestKrylovLoop`
+    checks it to rounding."""
 
     @pytest.mark.parametrize("case", ["residual-exit", "diff-exit", "cap-exit", "n600"])
     def test_equals_apply_of_vector(self, case):
@@ -300,17 +318,13 @@ class TestProduct:
             "n600": (lambda: planted_operator(600, 0.0125, 0.001, 704), DEFAULT_TOL,
                      DEFAULT_MAX_ITERS),
         }[case]
-        default = make()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(operator, "DENSE_MAX_N", 0)  # sparse product at any n
-            sparse = make()
-        assert default._dense == (case != "n600") and not sparse._dense
-        for op in (default, sparse):
-            res = top_eigenvector(op, tol=tol, max_iters=max_iters, start=apply_loop_start(op))
-            assert res.converged == (case != "cap-exit")
-            assert res.product.tobytes() == op.apply(res.vector).tobytes()
-            assert not res.product.flags.writeable
-        assert res.product.tobytes() == oracles.apply_public_matmul(op, res.vector).tobytes()
+        op = make()
+        res = top_eigenvector(op, tol=tol, max_iters=max_iters, start=apply_loop_start(op))
+        assert res.converged == (case != "cap-exit")
+        assert res.product.tobytes() == op.apply(res.vector).tobytes()
+        assert not res.product.flags.writeable
+        expected = oracles.apply_public_matmul(op, res.vector)  # res.vector >= 0
+        assert np.linalg.norm(res.product - expected) <= 1e-14 * np.linalg.norm(expected)
 
     def test_recomputed_after_clamping(self):
         # One step from a start whose image has negative entries: the clamp
@@ -338,6 +352,32 @@ class TestProduct:
         other = dataclasses.replace(res, _product=np.zeros(25))
         assert not other.product.any()
         assert res == other
+
+
+class TestEquality:
+    """Results compare by the values of their vectors, never by identity."""
+
+    @pytest.mark.parametrize("n", [5, 60])
+    def test_two_calls_on_one_operator(self, n):
+        op = planted_operator(n, 0.2, 0.05, 710)
+        first, second = top_eigenvector(op), top_eigenvector(op)
+        assert first.vector is not second.vector
+        assert first == second and not first != second
+
+    def test_pickle_round_trip(self):
+        res = top_eigenvector(planted_operator(60, 0.2, 0.05, 711))
+        copy = pickle.loads(pickle.dumps(res))
+        assert copy.vector is not res.vector
+        assert copy == res
+
+    def test_differs_in_vector_or_scalars(self):
+        res = top_eigenvector(planted_operator(10, 0.2, 0.05, 712))
+        vector = res.vector.copy()
+        vector[0] += 1e-3
+        assert res != dataclasses.replace(res, vector=vector)
+        assert res != dataclasses.replace(res, iterations=res.iterations + 1)
+        assert res != dataclasses.replace(res, converged=not res.converged)
+        assert res != "not a result"
 
 
 class TestValidation:
