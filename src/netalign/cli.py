@@ -159,6 +159,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
+    try:
+        cfg = _config_from(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    started = time.perf_counter()
     graphs = []
     for label, path_text in (("--g1", args.g1), ("--g2", args.g2)):
         path = Path(path_text)
@@ -175,17 +181,17 @@ def cmd_match(args: argparse.Namespace) -> int:
         print(f"error: size mismatch: {args.g1} has {g1.n} vertices, "
               f"{args.g2} has {g2.n}", file=sys.stderr)
         return 1
+    parsed = time.perf_counter()
+    print(f"match: parsed two {g1.n}-vertex graphs in {parsed - started:.3f}s",
+          file=sys.stderr)
     runner = eigen_align if args.algo == "eigenalign" else projected_power_align
-    try:
-        cfg = _config_from(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     try:
         result = runner(g1, g2, cfg)
     except DegenerateBalanceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    print(f"match: {args.algo} finished in {time.perf_counter() - parsed:.3f}s",
+          file=sys.stderr)
     lines = [f"{i} -> {result.permutation(i)}" for i in range(g1.n)]
     lines.append(f"matched_edges: {result.matched_edges}")
     lines.append(f"objective: {result.objective:.6g}")

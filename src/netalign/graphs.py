@@ -1,9 +1,13 @@
 """Simple undirected graphs, permutations, and seeded random generators.
 
-Graphs are stored as a read-only boolean adjacency matrix (O(1) membership)
-together with a lazily built CSR view (per-vertex sorted neighbor lists) used
-by the alignment operator; `Graph(...)` is the one place adjacency input is
-coerced and checked. All randomness flows through :class:`RngSeed`, which
+Graphs are stored as a read-only boolean adjacency matrix (O(1) membership);
+`Graph(...)` is the one place adjacency input is coerced and checked. Two
+views are derived from it lazily and cached. The edge index
+(`Graph.edge_index`) holds the sorted flat positions i*n + j of the nonzero
+entries, so each edge appears twice; `matched_edges` gathers from it in O(e)
+and `Graph.csr()` reads its row pointers and column indices off it. The CSR
+view (per-vertex sorted neighbor lists) serves the alignment operator's
+sparse products. All randomness flows through :class:`RngSeed`, which
 keys a counter-based Philox generator, so every generator here is
 bit-reproducible across runs and platforms for equal seeds.
 
@@ -91,7 +95,7 @@ class Graph:
     share across threads.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_csr", "__weakref__")
+    __slots__ = ("_adj", "_edge_count", "_edge_index", "_csr", "__weakref__")
 
     def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency)
@@ -121,6 +125,7 @@ class Graph:
         adj.flags.writeable = False
         self._adj = adj
         self._edge_count = int(np.count_nonzero(adj)) // 2
+        self._edge_index = None
         self._csr = None
 
     @classmethod
@@ -160,16 +165,29 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, lexicographically sorted."""
-        rows, cols = np.nonzero(np.triu(self._adj))
-        return list(zip(rows.tolist(), cols.tolist()))
+        rows, cols = np.divmod(self.edge_index, self.n)
+        upper = rows < cols
+        return list(zip(rows[upper].tolist(), cols[upper].tolist()))
+
+    @property
+    def edge_index(self) -> np.ndarray:
+        """Read-only sorted int64 flat positions i*n + j of the nonzero
+        adjacency entries (each edge twice, once per orientation); built on
+        first use and cached."""
+        if self._edge_index is None:
+            flat = np.flatnonzero(self._adj)
+            flat.flags.writeable = False
+            self._edge_index = flat
+        return self._edge_index
 
     def csr(self) -> sp.csr_array:
-        """Float64 CSR view (sorted neighbor lists) for sparse products."""
+        """Float64 CSR view (sorted neighbor lists) for sparse products, built
+        on first use from `edge_index` and cached."""
         if self._csr is None:
             # The same arrays and dtypes as csr_array(adj.astype(float64)),
-            # read off the flat nonzero positions without a dense float copy.
+            # read off the edge index without a dense float copy.
             n = self.n
-            flat = np.flatnonzero(self._adj)
+            flat = self.edge_index
             indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(np.int32)
             indices = (flat % n).astype(np.int32)
             self._csr = sp.csr_array((np.ones(flat.size), indices, indptr), shape=(n, n))
@@ -319,9 +337,12 @@ def matched_edges(g1: Graph, g2: Graph, perm: Permutation) -> int:
     """Number of unordered pairs {i,j} that are edges in g1 and map to edges in g2."""
     if g1.n != g2.n or len(perm) != g1.n:
         raise ValueError("graphs and permutation must share one vertex count")
+    # Each edge (r, c) of g1 appears in both orientations in its edge index;
+    # look up (perm(r), perm(c)) in g2's flattened adjacency and halve.
+    n = g1.n
+    rows, cols = np.divmod(g1.edge_index, n)
     idx = perm.map
-    relabeled = g2.adjacency[np.ix_(idx, idx)]  # [i,j] = g2[perm(i), perm(j)]
-    return int(np.count_nonzero(g1.adjacency & relabeled)) // 2
+    return int(np.count_nonzero(g2.adjacency.reshape(-1)[idx[rows] * n + idx[cols]])) // 2
 
 
 def _edge_graph(n: int, rows, cols) -> Graph:

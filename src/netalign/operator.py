@@ -35,8 +35,9 @@ the scoring rule alone and exists purely as a verification oracle for small
 n.
 
 Every sparse product goes through `_csr_product`, which calls scipy's
-compiled CSR kernels (`csr_matvec`, `csr_matvecs`) on the arrays that
-`Graph.csr()` caches. They are the kernels `csr_array @ dense` ends in, so
+compiled CSR kernels (`csr_matvec`, `csr_matvecs`) on the arrays of
+`Graph.csr()`, which each graph builds once from its cached edge index
+(`Graph.edge_index`). They are the kernels `csr_array @ dense` ends in, so
 every float is the same; at n <= 50 the Python dispatch in front of them
 costs more than the kernel itself.
 """

@@ -54,6 +54,22 @@ class TestPipelinesOnPath:
             projected_power_align(empty_graph(3), empty_graph(3))
 
 
+class TestEigenAlignBuildsNoCsrAtSmallN:
+    """Up to n = 50 EigenAlign runs the dense `apply` loop and counts matched
+    edges from the edge index, so neither graph builds a CSR view."""
+
+    @pytest.mark.parametrize("n", [10, 30, 50])
+    def test_no_csr_built(self, n, monkeypatch):
+        g1, g2, _ = make_instance(n, 0.2, 0.1, 0, 11)
+
+        def refuse(self):
+            raise AssertionError("a CSR view was built")
+        monkeypatch.setattr(Graph, "csr", refuse)
+        result = eigen_align(g1, g2)
+        assert result.matched_edges == oracles.count_matched_edges_loop(
+            np.array(g1.adjacency), np.array(g2.adjacency), result.permutation.map)
+
+
 class TestNoiselessRecovery:
     @pytest.mark.parametrize("runner", [eigen_align, projected_power_align])
     def test_matches_every_edge_of_planted_copy(self, runner):

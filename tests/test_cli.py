@@ -195,6 +195,33 @@ class TestMatch:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    def test_bad_config_checked_before_reading_files(self, tmp_path, capsys):
+        missing = tmp_path / "nope.txt"
+        code, out, err = run_cli(["match", "--g1", str(missing), "--g2", str(missing),
+                                  "--eigen-tol", "nan"], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "cannot read" not in err
+
+    @pytest.mark.parametrize("algo,iterations", [("ppa", 2), ("eigenalign", 99)])
+    def test_timings_on_stderr_outputs_unchanged(self, tmp_path, capsys, algo, iterations):
+        g = self.write_path3(tmp_path, "g.txt")
+        expected = ("0 -> 0\n1 -> 1\n2 -> 2\nmatched_edges: 2\nobjective: 10.609\n"
+                    f"iterations: {iterations}\nconverged: true\n")
+        argv = ["match", "--g1", str(g), "--g2", str(g), "--algo", algo]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert out == expected
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("match: parsed two 3-vertex graphs in ")
+        assert lines[1].startswith(f"match: {algo} finished in ")
+        assert all(line.endswith("s") for line in lines)
+        out_path = tmp_path / "result.txt"
+        code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
+        assert code == 0 and out == ""
+        assert out_path.read_text() == expected
+        assert err.splitlines()[-1] == f"wrote {out_path}"
+
     def test_missing_file(self, tmp_path, capsys):
         g = self.write_path3(tmp_path, "g.txt")
         code, _, err = run_cli(

@@ -1,13 +1,16 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netalign.align import eigen_align
 from netalign.graphs import (MAX_EDGE_LIST_VERTICES, Graph, Permutation, RngSeed,
                              apply_noise, format_edge_list, generate_er, matched_edges,
                              parse_edge_list, permute, random_permutation)
+from netalign.harness import make_instance
 from netalign.rounding import greedy_round, max_weight_matching
 
 import oracles
@@ -130,6 +133,23 @@ class TestCsrView:
             assert np.array_equal(mine, theirs), name
         assert got.has_sorted_indices == ref.has_sorted_indices
         assert got.has_canonical_format == ref.has_canonical_format
+
+
+class TestEdgeIndex:
+    @given(adjacency())
+    @example(np.zeros((1, 1), dtype=bool))
+    @example(~np.eye(6, dtype=bool))
+    @settings(max_examples=150, deadline=None)
+    def test_sorted_read_only_flat_positions_behind_edges(self, adj):
+        g = Graph(adj)
+        index = g.edge_index
+        assert index.dtype == np.int64
+        assert np.array_equal(index, np.flatnonzero(adj))
+        assert (np.diff(index) > 0).all()
+        assert not index.flags.writeable
+        assert g.edge_index is index
+        rows, cols = np.nonzero(np.triu(adj))
+        assert g.edges() == list(zip(rows.tolist(), cols.tolist()))
 
 
 class TestDrawOrder:
@@ -385,6 +405,31 @@ class TestEdgeListFormat:
         assert format_edge_list(g) == "n 4\n0 1\n0 2\n2 3\n"
 
 
+BUILDERS = ("array", "from_edges", "parse_edge_list", "generate_er", "permute")
+
+
+def build_graph(builder, n, p, seed):
+    """A G(n, p) draw, wrapped by one of the package's graph constructors."""
+    g = generate_er(n, p, seed)
+    if builder == "array":
+        return Graph(g.adjacency.astype(np.int8))
+    if builder == "from_edges":
+        return Graph.from_edges(n, [(j, i) for i, j in g.edges()])
+    if builder == "parse_edge_list":
+        return parse_edge_list(format_edge_list(g))
+    if builder == "permute":
+        return permute(g, random_permutation(n, RngSeed(seed.base_seed, 9)))
+    return g
+
+
+def match_sparse_pair(seed):
+    """The match-sparse benchmark's planted pair (n = 600, p = 0.0125,
+    lambda = 0.001), read back from edge-list text as `netalign match` does."""
+    g1, g2, planted = make_instance(600, 0.0125, 0.001, 0, seed)
+    return (parse_edge_list(format_edge_list(g1)), parse_edge_list(format_edge_list(g2)),
+            planted)
+
+
 class TestMatchedEdges:
     def test_self_alignment(self):
         g = generate_er(8, 0.5, RngSeed(30))
@@ -429,3 +474,39 @@ class TestMatchedEdges:
         g2 = generate_er(5, 0.5, RngSeed(0))
         with pytest.raises(ValueError):
             matched_edges(g1, g2, Permutation.identity(4))
+
+    @given(st.integers(min_value=1, max_value=60), st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+           st.sampled_from(BUILDERS), st.sampled_from(BUILDERS),
+           st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=120, deadline=None)
+    def test_against_double_loop_oracle_on_every_builder(self, n, p, build1, build2, seed):
+        g1 = build_graph(build1, n, p, RngSeed(seed, 1))
+        g2 = build_graph(build2, n, p, RngSeed(seed, 2))
+        sigma = random_permutation(n, RngSeed(seed, 3))
+        expected = oracles.count_matched_edges_loop(
+            np.array(g1.adjacency), np.array(g2.adjacency), sigma.map)
+        assert matched_edges(g1, g2, sigma) == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_match_sparse_instance_against_double_loop_oracle(self, seed, monkeypatch):
+        g1, g2, planted = match_sparse_pair(seed)
+        found = eigen_align(g1, g2).permutation
+
+        def refuse(self):
+            raise AssertionError("matched_edges built a CSR view")
+        monkeypatch.setattr(Graph, "csr", refuse)
+        adj1, adj2 = np.array(g1.adjacency), np.array(g2.adjacency)
+        for perm in (planted, found):
+            expected = oracles.count_matched_edges_loop(adj1, adj2, perm.map)
+            assert matched_edges(g1, g2, perm) == expected
+
+    def test_match_sparse_gather_allocates_less_than_n_squared(self):
+        g1, g2, planted = match_sparse_pair(1)
+        assert g1.edge_index.size > 0  # built and cached before measuring
+        tracemalloc.start()
+        try:
+            matched_edges(g1, g2, planted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < g1.n ** 2
