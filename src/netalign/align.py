@@ -1,11 +1,12 @@
 """End-to-end matching pipelines: spectral rounding and projected power steps.
 
 `eigen_align` rounds the dominant eigenvector of the scoring operator with an
-exact maximum-weight assignment. `projected_power_align` starts from the same
-eigenvector and then alternates operator multiplication with the greedy
-projection onto permutations until it reaches a fixed point or the iteration
-cap; with `return_best` it reports the best-scoring permutation seen,
-including the direct greedy rounding of the start vector.
+exact maximum-weight assignment. `projected_power_align` takes the greedy
+rounding of the same eigenvector as its first iterate (the projection of A v,
+a positive multiple of v) and then alternates operator multiplication with
+the greedy projection onto permutations until it reaches a fixed point or the
+iteration cap; with `return_best` it reports the best-scoring permutation
+seen.
 
 The projected step is a deterministic map on permutations, so once an iterate
 repeats an earlier one the rest of the run is a known cycle. PPA then stops
@@ -144,10 +145,13 @@ def projected_power_align(g1: Graph, g2: Graph,
                           cfg: AlignConfig = AlignConfig()) -> AlignmentResult:
     """Alternate operator multiplication with greedy projection onto permutations.
 
-    The start vector v0 is the dominant eigenvector; the first multiply uses
-    v0 itself (the product `top_eigenvector` already computed,
-    `EigenResult.product`), every later multiply uses the 0/1 vectorization
-    of the current permutation iterate (`AlignmentOperator.permutation_product`).
+    The start vector v0 is the dominant eigenvector. Since A v0 = mu v0 with
+    mu > 0 and the greedy projection is unchanged by a positive scale, the
+    first iterate Pi(A v0) is the greedy rounding of v0 itself, so no product
+    with v0 is taken; every multiply uses the 0/1 vectorization of the
+    current permutation iterate (`AlignmentOperator.permutation_product`).
+    Trajectory entry 0 logs that start rounding and entry 1 the first
+    iterate, so the two always coincide.
     Terminates at a fixed point of the projected step or after
     `ppa_max_iters` iterations (flagged, not an error); a cycle of period two
     or more is replayed to the cap without further products or projections.
@@ -159,23 +163,17 @@ def projected_power_align(g1: Graph, g2: Graph,
         w = op.permutation_product(perm)
         return w, float(permutation_vector(n, perm) @ w.reshape(-1))
 
-    v0 = eig.vector
     cap = cfg.ppa_max_iters
-
-    # Direct rounding of the start vector: candidate permutation only, it does
-    # not seed the iteration.
-    pi0 = greedy_round(v0.reshape(n, n))
-    _, obj0 = step(pi0)
-    best_perm, best_obj = pi0, obj0
-    trajectory: list[tuple[float, int]] = [(obj0, 0)]
-    iterates = [pi0]                 # iterates[k] is the permutation of entry k
+    current = greedy_round(eig.vector.reshape(n, n))
+    w, obj = step(current)
+    best_perm, best_obj = current, obj
+    trajectory: list[tuple[float, int]] = [(obj, 0)]
+    iterates = [current]             # iterates[k] is the permutation of entry k
     seen: dict[bytes, int] = {}      # iterate of the projected map -> its index
 
-    current = greedy_round(eig.product.reshape(n, n))
     converged = False
     while True:
         k = len(iterates)
-        w, obj = step(current)
         trajectory.append((obj, int(np.count_nonzero(current.map != iterates[-1].map))))
         iterates.append(current)
         seen[current.map.tobytes()] = k
@@ -201,6 +199,7 @@ def projected_power_align(g1: Graph, g2: Graph,
             current = iterates[s + (cap - s) % period]
             break
         current = nxt
+        w, obj = step(current)
 
     log = np.array(trajectory, dtype=_TRAJECTORY_DTYPE)
     log.flags.writeable = False

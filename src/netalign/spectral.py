@@ -23,8 +23,7 @@ representations of the iterate, chosen from the start and from n alone:
   and the iterate difference are Frobenius quantities of C and W. An
   iteration then costs one sparse matvec per graph and Gram-Schmidt (twice)
   against the basis, O(e + n t), instead of an O(n³) `apply`.
-  V is built as an n x n matrix once, at the end, and A v only when
-  `EigenResult.product` is first read (only PPA reads it). A basis stops
+  V is built as an n x n matrix once, at the end. A basis stops
   growing when the new direction is zero to rounding. For a regular or
   empty graph G 1 is a multiple of 1, so its basis keeps one vector, and C
   is rectangular when the two bases differ in size.
@@ -46,8 +45,7 @@ bytes are those of the Krylov loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,39 +63,19 @@ DENSE_MAX_N = 50
 
 @dataclass(frozen=True)
 class EigenResult:
-    vector: np.ndarray       # unit-norm, entrywise nonnegative
+    vector: np.ndarray       # unit-norm, entrywise nonnegative, read-only
     value: float             # Rayleigh quotient v^T A v
     iterations: int
     residual: float          # ||A v - value * v||_2 for the returned vector
     converged: bool          # False when the iteration cap was hit
-    # A v, or the Krylov factors (Q1, W, Q2) with A v = Q1 W Q2^T.
-    _product: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        compare=False, repr=False)
 
     def __eq__(self, other: object) -> bool:
-        """Equal vectors (by value) and equal scalar fields; `product` is
-        left out, since it follows from the vector."""
+        """Equal vectors (by value) and equal scalar fields."""
         if not isinstance(other, EigenResult):
             return NotImplemented
         return (np.array_equal(self.vector, other.vector)
                 and (self.value, self.iterations, self.residual, self.converged)
                 == (other.value, other.iterations, other.residual, other.converged))
-
-    @cached_property
-    def product(self) -> np.ndarray:
-        """A v for the returned `vector`, read-only, left out of `==`. Where
-        the `apply` loop runs (a custom start, or n <= `DENSE_MAX_N`) it is
-        the loop's last product, `op.apply(vector)` byte for byte: the
-        operator's dense factored product. Above that bound it is built on
-        first access from the Krylov factors the loop kept, an n x n product
-        that EigenAlign never reads, and equals `op.apply(vector)` to
-        rounding."""
-        w = self._product
-        if isinstance(w, tuple):
-            q1, W, q2 = w
-            w = (q1 @ W @ q2.T).reshape(-1)
-        w.flags.writeable = False
-        return w
 
 
 def _norm(x: np.ndarray) -> float:
@@ -118,6 +96,12 @@ def top_eigenvector(op: AlignmentOperator,
     start is the uniform positive vector, which has nonzero overlap with the
     dominant eigenvector. From it, above n = `DENSE_MAX_N`, the iteration
     runs in Kronecker-Krylov coordinates (module docstring).
+
+    Both stopping tests are absolute. The iterates have unit norm, but the
+    residual scales with the eigenvalue (about s2 n²), so the residual test
+    ends a run only when an iterate is already an eigenvector to rounding,
+    as the uniform start is for an empty or regular pair. Planted runs end
+    on the iterate difference or at the cap.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -136,7 +120,7 @@ def top_eigenvector(op: AlignmentOperator,
         if norm == 0 or not np.isfinite(norm):
             raise ValueError("start vector must have nonzero finite norm")
         v = v / norm
-    return _result(op, *_power_iteration(lambda x: (x, op.apply(x)), v, tol, max_iters))
+    return _result(*_power_iteration(lambda x: (x, op.apply(x)), v, tol, max_iters))
 
 
 def _power_iteration(product, v, tol, max_iters):
@@ -144,7 +128,7 @@ def _power_iteration(product, v, tol, max_iters):
 
     `product(v)` returns (v', w): w = A v, and v' the iterate v in the
     coordinates of w (v itself where they are fixed). Returns
-    (v, w, value, iterations, residual, converged) for the returned iterate.
+    (v, value, iterations, residual, converged) for the returned iterate.
     """
     def stats(vec):
         vec, w = product(vec)
@@ -170,22 +154,18 @@ def _power_iteration(product, v, tol, max_iters):
             break
     else:
         v, w, value, residual = stats(v)  # cap hit: report the final iterate honestly
-    return v, w, value, iterations, residual, converged
+    return v, value, iterations, residual, converged
 
 
-def _result(op: AlignmentOperator, v, product, value, iterations, residual,
-            converged) -> EigenResult:
-    """The result for the loop's iterate v; `product` is A v or its Krylov
-    factors (`EigenResult._product`)."""
-    clamped = v.min() < 0  # only a custom start can leave negatives to clamp
-    # Clamp roundoff negatives for downstream rounding, in place: v is the
-    # loop's own array, and a fresh n² array costs ~700 page faults at n = 600.
+def _result(v, value, iterations, residual, converged) -> EigenResult:
+    """The result for the loop's iterate v, with roundoff negatives (only a
+    custom start leaves any) clamped to zero for downstream rounding."""
+    # In place: v is the loop's own array, and a fresh n² array costs ~700
+    # page faults at n = 600.
     vector = np.maximum(v, 0.0, out=v)
-    if clamped:
-        product = op.apply(vector)
     vector.flags.writeable = False
     return EigenResult(vector=vector, value=value, iterations=iterations,
-                       residual=residual, converged=converged, _product=product)
+                       residual=residual, converged=converged)
 
 
 class _KrylovBasis:
@@ -252,7 +232,6 @@ def _krylov_top_eigenvector(op: AlignmentOperator, tol: float,
         return padded.ravel(), W.ravel()
 
     # The start 1/n 1⊗1 is q0 q0^T: C = [[1]].
-    c_flat, w_flat, *stats = _power_iteration(product, np.ones(1), tol, max_iters)
-    q1, q2 = (basis.q for basis in bases)
-    V = q1 @ coefficients(c_flat) @ q2.T
-    return _result(op, V.reshape(op.dim), (q1, coefficients(w_flat), q2), *stats)
+    c_flat, *stats = _power_iteration(product, np.ones(1), tol, max_iters)
+    V = bases[0].q @ coefficients(c_flat) @ bases[1].q.T
+    return _result(V.reshape(op.dim), *stats)

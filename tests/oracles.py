@@ -204,8 +204,10 @@ def power_iteration_linalg_norm(apply, n, tol, max_iters):
 def ppa_capped_loop(op, v0, project, max_iters, return_best):
     """Projected power loop that evaluates every step up to the cap.
 
-    `op` supplies `apply` and `permutation_product`, `project` maps an n x n
-    score matrix to a permutation. Stops early only at a fixed point.
+    `op` supplies `permutation_product`, `project` maps an n x n score
+    matrix to a permutation. The first iterate is project(A v0) for the
+    eigenvector v0, which equals project(v0): A v0 is a positive multiple of
+    v0. Stops early only at a fixed point.
     Returns (permutation, objective, iterations, converged, trajectory,
     iterates): trajectory is a list of (objective, changed) and iterates the
     map arrays of the evaluated iterates of the projected step, in order.
@@ -224,7 +226,7 @@ def ppa_capped_loop(op, v0, project, max_iters, return_best):
     trajectory = [(obj0, 0)]
     iterates = []
 
-    current = project(op.apply(v0).reshape(n, n))
+    current = project(v0.reshape(n, n))
     iterations = 1
     previous = pi0
     converged = False

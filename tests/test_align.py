@@ -217,15 +217,11 @@ class TestConfigAndTrajectory:
 # Planted instances (p=0.2) pinned for how the projected step of PPA first
 # revisits an iterate under the default config: (n, lambda, trial, base_seed),
 # the step whose iterate repeats an earlier one, and the period (1 for a fixed
-# point); None for a run that repeats nothing within 60 steps. In
-# "fixed_point_via_start_rounding" iterate 3 equals the direct rounding of the
-# start vector, which is no iterate of the step and must not count as a repeat.
-# Which instance shows that depends on rounding ties: (11, 0.0, 1, 1) does with
-# the dense operator product on OpenBLAS's SkylakeX, Haswell and generic
-# (Prescott) kernels, but not on Sandybridge's.
+# point); None for a run that repeats nothing within 60 steps. Iterate 1 is
+# the greedy rounding of the start vector, so in "period_2_seen_at_step_3" the
+# run returns to that start rounding.
 PPA_STOP_PATTERNS = {
     "fixed_point": ((8, 0.0, 0, 0), 2, 1),
-    "fixed_point_via_start_rounding": ((11, 0.0, 1, 1), 4, 1),
     "period_2": ((8, 0.05, 0, 0), 6, 2),
     "period_2_seen_at_step_3": ((8, 0.0, 1, 7), 3, 2),
     "period_4": ((8, 0.2, 5, 0), 6, 4),
@@ -259,13 +255,6 @@ class TestCycleReplay:
             *pinned_instance(name), AlignConfig(ppa_max_iters=60))
         if period == 1:
             assert converged and iterations == step
-            if name == "fixed_point_via_start_rounding":
-                # PPA leaves the start rounding, comes back to it at the last
-                # iterate, and stays.
-                op = build_operator(*pinned_instance(name))
-                pi0 = greedy_round(top_eigenvector(op).vector.reshape(op.n, op.n))
-                assert [np.array_equal(m, pi0.map) for m in iterates] == \
-                    [False] * (step - 2) + [True]
             return
         first_seen = {}
         repeat = (None, None)
@@ -375,7 +364,8 @@ class TestSharedSpectralStart:
 
 
 class TestPpaStartProduct:
-    """PPA's first multiply is the eigen stage's last product, not a new one."""
+    """PPA's first iterate is the greedy rounding of the eigenvector, so PPA
+    takes no product with it."""
 
     @pytest.fixture
     def apply_calls(self, monkeypatch):
@@ -404,16 +394,34 @@ class TestPpaStartProduct:
         projected_power_align(g1, g2)
         assert apply_calls == []
 
-    def test_eigen_align_leaves_the_krylov_product_unbuilt(self, apply_calls):
-        # Above DENSE_MAX_N, A v is built from the Krylov factors when PPA
-        # first reads it; PPA then equals a run on a fresh spectral start.
+    def test_no_apply_above_the_dense_bound(self, apply_calls):
+        # Above DENSE_MAX_N the eigen stage runs no `apply` either.
         g1, g2 = fresh_pair(n=60, lam=0.05)
         eigen_align(g1, g2)
-        eig = align._last_start[3]
-        assert "product" not in vars(eig)
         hit = projected_power_align(g1, g2)
-        assert "product" in vars(eig) and apply_calls == []
+        assert apply_calls == []
         assert_same_result(hit, projected_power_align(Graph(g1.adjacency), Graph(g2.adjacency)))
+
+    def test_start_rounding_is_projected_and_scored_once(self, monkeypatch):
+        # A run that is a fixed point at step 2: the start rounding (iterate
+        # 1) and its image, one product between them.
+        calls = {"greedy_round": 0, "permutation_product": 0}
+        product = align.AlignmentOperator.permutation_product
+
+        def counting_round(scores):
+            calls["greedy_round"] += 1
+            return greedy_round(scores)
+
+        def counting_product(op, perm):
+            calls["permutation_product"] += 1
+            return product(op, perm)
+
+        g1, g2 = pinned_instance("fixed_point")
+        monkeypatch.setattr(align, "greedy_round", counting_round)
+        monkeypatch.setattr(align.AlignmentOperator, "permutation_product", counting_product)
+        result = projected_power_align(g1, g2)
+        assert (result.iterations, result.converged) == (2, True)
+        assert calls == {"greedy_round": 2, "permutation_product": 1}
 
 
 class TestEstimators:
