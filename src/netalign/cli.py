@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .align import AlignConfig, eigen_align, projected_power_align
 from .graphs import parse_edge_list
-from .harness import (ALGORITHMS, GridSpec, render_heatmap, run_grid,
-                      summarize, write_csv, write_heatmap_legend)
+from .harness import (ALGORITHMS, GridSpec, pool_size, render_heatmap,
+                      run_grid, summarize, write_csv, write_heatmap_legend)
 from .operator import DegenerateBalanceError
 from .selftest import run_all_suites
 
@@ -120,7 +120,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     total = len(grid.specs())
     print(f"sweep: {total} trials over {len(args.n)}x{len(args.lambdas)} cells, "
-          f"p={args.p}, workers={args.workers}", file=sys.stderr)
+          f"p={args.p}, workers={pool_size(total, args.workers)}", file=sys.stderr)
     started = time.perf_counter()
     records = run_grid(grid, workers=args.workers)
     elapsed = time.perf_counter() - started

@@ -8,8 +8,13 @@ entries, so each edge appears twice; `matched_edges` gathers from it in O(e)
 and `Graph.csr()` reads its row pointers and column indices off it. The CSR
 view (per-vertex sorted neighbor lists) serves the alignment operator's
 sparse products. All randomness flows through :class:`RngSeed`, which
-keys a counter-based Philox generator, so every generator here is
-bit-reproducible across runs and platforms for equal seeds.
+keys a counter-based Philox generator, so every stream here is
+bit-reproducible across runs and platforms for equal seeds. A Philox
+stream's whole state is its key and a counter, so the draw functions
+(`generate_er`, `apply_noise`, `random_permutation`) keep one Philox
+generator per thread and reset it to the start of each stream they draw
+from, rather than build a generator per draw; `RngSeed.generator()` still
+returns a new, independent generator on every call.
 
 Edge-list text format::
 
@@ -26,6 +31,7 @@ graph is stored as a dense n x n matrix.
 from __future__ import annotations
 
 import io
+import threading
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -82,6 +88,31 @@ def as_seed(seed: "RngSeed | int") -> RngSeed:
     if isinstance(seed, RngSeed):
         return seed
     return RngSeed(int(seed))
+
+
+# Holds each thread's generator for `_stream`.
+_local = threading.local()
+
+
+def _stream(seed: "RngSeed | int") -> Generator:
+    """This thread's generator, reset to the start of `seed`'s stream.
+
+    It draws what `seed.generator()` would draw: the state set here (counter
+    0, an empty buffer, no half-used 32-bit word) is the one a new
+    Philox(key=...) starts from. Resetting costs a small fraction of
+    building a generator. Valid until the thread's next call.
+    """
+    seed = as_seed(seed)
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = seed.generator()
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0),
+                  "key": (int(seed.base_seed), int(seed.stream_id))},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 class Graph:
@@ -293,7 +324,7 @@ def generate_er(n: int, p: float, seed: RngSeed | int) -> Graph:
     if n < 1:
         raise ValueError("n must be at least 1")
     p = _check_probability(p, "p")
-    rng = as_seed(seed).generator()
+    rng = _stream(seed)
     adj = np.zeros((n, n), dtype=bool)
     adj[_upper_mask(n)] = rng.random(n * (n - 1) // 2) < p
     adj |= adj.T
@@ -307,7 +338,7 @@ def apply_noise(g: Graph, lam: float, seed: RngSeed | int) -> Graph:
     result is again a simple graph.
     """
     lam = _check_probability(lam, "lambda")
-    rng = as_seed(seed).generator()
+    rng = _stream(seed)
     n = g.n
     flips = np.zeros((n, n), dtype=bool)
     flips[_upper_mask(n)] = rng.random(n * (n - 1) // 2) < lam
@@ -321,7 +352,7 @@ def permute(g: Graph, perm: Permutation) -> Graph:
         raise ValueError(f"permutation length {len(perm)} != vertex count {g.n}")
     adj = np.zeros_like(g.adjacency)
     idx = perm.map
-    adj[np.ix_(idx, idx)] = g.adjacency
+    adj[idx[:, None], idx] = g.adjacency
     return Graph._trusted(adj)
 
 
@@ -329,7 +360,7 @@ def random_permutation(n: int, seed: RngSeed | int) -> Permutation:
     """Uniform random permutation (Fisher–Yates), deterministic given seed."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = as_seed(seed).generator()
+    rng = _stream(seed)
     return Permutation._trusted(rng.permutation(n))
 
 

@@ -59,6 +59,7 @@ __all__ = [
     "derive_stream",
     "run_trial",
     "run_grid",
+    "pool_size",
     "summarize",
     "write_csv",
     "read_csv",
@@ -104,9 +105,19 @@ def mix64(*values: int) -> int:
 def derive_stream(base_seed: int, n: int, p: float, lam: float,
                   trial_index: int, purpose: int) -> RngSeed:
     """Stream for one purpose of one trial; independent of the algorithm."""
-    stream = mix64(base_seed, n, round(p * 1_000_000), round(lam * 1_000_000),
-                   trial_index, purpose)
-    return RngSeed(base_seed=base_seed, stream_id=stream)
+    return _purpose_stream(base_seed, _cell_prefix(base_seed, n, p, lam, trial_index),
+                           purpose)
+
+
+def _cell_prefix(base_seed: int, n: int, p: float, lam: float, trial_index: int) -> int:
+    """`mix64` of a trial's coordinates, the part its streams share."""
+    return mix64(base_seed, n, round(p * 1_000_000), round(lam * 1_000_000), trial_index)
+
+
+def _purpose_stream(base_seed: int, prefix: int, purpose: int) -> RngSeed:
+    """The stream of one purpose of the trial whose coordinates fold to
+    `prefix`: its id is mix64 of the coordinates and the purpose."""
+    return RngSeed(base_seed, _splitmix64(prefix ^ purpose))
 
 
 def _check_ranges(n_list: Sequence[int], p: float, lambda_list: Sequence[float],
@@ -177,9 +188,11 @@ def make_instance(n: int, p: float, lam: float, trial_index: int,
     The last instance is kept: the same arguments again return the same
     (immutable) objects.
     """
-    g1 = generate_er(n, p, derive_stream(base_seed, n, p, lam, trial_index, STREAM_GRAPH))
-    noisy = apply_noise(g1, lam, derive_stream(base_seed, n, p, lam, trial_index, STREAM_NOISE))
-    planted = random_permutation(n, derive_stream(base_seed, n, p, lam, trial_index, STREAM_PERM))
+    # derive_stream's three seeds, with the trial coordinates folded once.
+    prefix = _cell_prefix(base_seed, n, p, lam, trial_index)
+    g1 = generate_er(n, p, _purpose_stream(base_seed, prefix, STREAM_GRAPH))
+    noisy = apply_noise(g1, lam, _purpose_stream(base_seed, prefix, STREAM_NOISE))
+    planted = random_permutation(n, _purpose_stream(base_seed, prefix, STREAM_PERM))
     g2 = permute(noisy, planted)
     return g1, g2, planted
 
@@ -268,16 +281,22 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def pool_size(trials: int, workers: int) -> int:
+    """The processes `run_grid` runs `trials` trials on when asked for
+    `workers`: at most one per chunk of trials and per available CPU. At 1
+    the trials run in the calling process."""
+    return min(workers, -(-trials // _CHUNK_SIZE), _available_cpus())
+
+
 def run_grid(grid: GridSpec, workers: int = 1) -> list[TrialRecord]:
     """One record per (n, lambda, trial, algorithm), sorted by record key.
 
-    Trials are independent; `workers` > 1 fans them out over processes, at
-    most one per chunk of trials and per available CPU (the pool starts all
-    of its processes up front). The returned records are identical for any
-    worker count.
+    Trials are independent; `workers` > 1 fans them out over
+    `pool_size(trials, workers)` processes (the pool starts all of them up
+    front). The returned records are identical for any worker count.
     """
     specs = grid.specs()
-    workers = min(workers, -(-len(specs) // _CHUNK_SIZE), _available_cpus())
+    workers = pool_size(len(specs), workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_trial, specs, chunksize=_CHUNK_SIZE))

@@ -19,11 +19,11 @@ n x n GEMMs and a sum, O(n^3) per apply. k M1 and M2 are built on the first
 kernels; on tie-heavy inputs that can move an eigenvector's rounding to a
 permutation.
 
-Power iteration (`spectral.top_eigenvector`) calls `apply` from a custom
-start and at n <= `spectral.DENSE_MAX_N`. From the uniform start above that
-bound it never forms a length-n² vector: it iterates on Krylov bases of G1
-and G2 built from `kronecker_scalars` and the graphs' CSR arrays (the
-measurements are in the `spectral` docstring).
+Power iteration (`spectral.top_eigenvector`) takes `apply`'s product,
+without its checks, from a custom start and at n <= `spectral.DENSE_MAX_N`.
+From the uniform start above that bound it never forms a length-n² vector:
+it iterates on Krylov bases of G1 and G2 built from `kronecker_scalars` and
+the graphs' CSR arrays (the measurements are in the `spectral` docstring).
 
 For the 0/1 vectorization of a permutation pi, G1 V G2 = G1 @ G2[pi] and the
 row and column sums of V are all ones, so `permutation_product` needs one
@@ -201,11 +201,21 @@ class AlignmentOperator:
         if v.shape != (self.dim,):
             raise ValueError(f"vector must have length {self.dim}, got shape {v.shape}")
         # C order first, so strided and contiguous inputs give the same bytes.
-        V = np.ascontiguousarray(v).reshape(self.n, self.n)
+        return self._product()(np.ascontiguousarray(v))
+
+    def _product(self):
+        """`apply` for C-order float64 vectors of length n², without its
+        checks and with the factors looked up once, for a loop that calls
+        it many times (power iteration)."""
         m1, m2, d = self._factors
-        U = m1 @ V @ m2
-        U += d * V.sum()
-        return U.reshape(self.dim)
+        shape, dim = (self.n, self.n), self.dim
+
+        def product(v: np.ndarray) -> np.ndarray:
+            V = v.reshape(shape)
+            U = m1 @ V @ m2
+            U += d * V.sum()
+            return U.reshape(dim)
+        return product
 
     def permutation_product(self, perm: Permutation) -> np.ndarray:
         """A y for y = `permutation_vector(n, perm)`, as an n x n matrix.

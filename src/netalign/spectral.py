@@ -8,8 +8,8 @@ spectral shift.
 One loop (`_power_iteration`) runs the iteration on one of two
 representations of the iterate, chosen from the start and from n alone:
 
-- Length-n² vectors through `op.apply`, for a custom start and for
-  n <= `DENSE_MAX_N` (every sweep cell).
+- Length-n² vectors through the operator's product (`apply` without its
+  checks), for a custom start and for n <= `DENSE_MAX_N` (every sweep cell).
 - Kronecker-Krylov coordinates, from the uniform start at n > `DENSE_MAX_N`.
   The operator is A = k M1⊗M2 + d 11^T with M_i = G_i + c J (see
   `operator`), and A (x⊗y) = k (M1 x)⊗(M2 y) + d (1^T x)(1^T y) 1⊗1. So
@@ -35,8 +35,9 @@ one product at every n. Measured on planted pairs (best of 5, one BLAS
 thread, 2-core Xeon with AVX-512 OpenBLAS, λ = 0.05), the Krylov loop
 against the `apply` loop takes 1.2 vs 112 ms at n = 600, p = 0.0125;
 0.78 vs 11.8 ms at n = 250, p = 0.02; 0.58 vs 1.5 ms at n = 120, p = 0.05;
-but 0.60 vs 0.38-0.46 ms at n = 60, p = 0.05-0.2, and at n = 10-50 about
-0.5 ms against 0.16-0.32 ms, 1.6-3x slower. The bound is the largest n of
+but 0.60 vs 0.38-0.46 ms at n = 60, p = 0.05-0.2. At n = 10-50, p = 0.2
+(best of 7, the same host at a lower clock), it takes 0.60-0.85 ms against
+0.21-0.36 ms for the `apply` loop, 2-3.7x slower. The bound is the largest n of
 the reduced sweep, so at n <= `DENSE_MAX_N` the `apply` loop runs and its
 results stay bit for bit those of the earlier code; above it EigenAlign's
 bytes are those of the Krylov loop.
@@ -120,7 +121,8 @@ def top_eigenvector(op: AlignmentOperator,
         if norm == 0 or not np.isfinite(norm):
             raise ValueError("start vector must have nonzero finite norm")
         v = v / norm
-    return _result(*_power_iteration(lambda x: (x, op.apply(x)), v, tol, max_iters))
+    product = op._product()
+    return _result(*_power_iteration(lambda x: (x, product(x)), v, tol, max_iters))
 
 
 def _power_iteration(product, v, tol, max_iters):
@@ -130,30 +132,34 @@ def _power_iteration(product, v, tol, max_iters):
     coordinates of w (v itself where they are fixed). Returns
     (v, value, iterations, residual, converged) for the returned iterate.
     """
-    def stats(vec):
-        vec, w = product(vec)
-        rayleigh = float(vec @ w)
-        return vec, w, rayleigh, _norm(w - rayleigh * vec)
-
-    converged = False
+    # w - value * v and v_next - v, each needed only for its norm; norms are
+    # `_norm`'s sqrt(x @ x), inlined.
+    scratch = np.empty(0)
+    converged = last = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
-        v, w, value, residual = stats(v)
-        w_norm = _norm(w)
+    while True:
+        v, w = product(v)
+        if scratch.shape != w.shape:  # the Krylov coordinates grow
+            scratch = np.empty_like(w)
+        value = float(v @ w)
+        np.multiply(v, value, out=scratch)
+        np.subtract(w, scratch, out=scratch)
+        residual = math.sqrt(scratch @ scratch)
+        if last:  # the stats of the iterate returned after a cap or a small step
+            break
+        iterations += 1
+        w_norm = math.sqrt(w @ w)
         if w_norm == 0:
             raise ValueError("operator annihilated the iterate; cannot normalize")
         v_next = w / w_norm
-        diff = _norm(v_next - v)
+        np.subtract(v_next, v, out=scratch)
+        diff = math.sqrt(scratch @ scratch)
         if residual < tol:
             converged = True
             break
         v = v_next
-        if diff < tol:
-            v, w, value, residual = stats(v)  # stats of the iterate actually returned
-            converged = True
-            break
-    else:
-        v, w, value, residual = stats(v)  # cap hit: report the final iterate honestly
+        converged = diff < tol
+        last = converged or iterations == max_iters
     return v, value, iterations, residual, converged
 
 

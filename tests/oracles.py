@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.random import Generator, Philox
 
 
 def count_matched_edges_loop(adj1, adj2, mapping):
@@ -147,6 +148,12 @@ def assignment_score_exact(scores, mapping):
 def csr_via_dense(adj):
     """Float64 CSR view built through a dense float copy and scipy's COO path."""
     return sp.csr_array(adj.astype(np.float64))
+
+
+def fresh_philox(base_seed, stream_id):
+    """A newly built generator for the stream keyed (base_seed, stream_id):
+    Philox from counter 0, its buffers empty."""
+    return Generator(Philox(key=np.array([base_seed, stream_id], dtype=np.uint64)))
 
 
 def er_adjacency_triu(n, p, rng):

@@ -369,14 +369,20 @@ class TestPpaStartProduct:
 
     @pytest.fixture
     def apply_calls(self, monkeypatch):
+        # Products with the operator: `apply` and the power loop both take
+        # theirs from `AlignmentOperator._product`.
         calls = []
-        original = align.AlignmentOperator.apply
+        original = align.AlignmentOperator._product
 
-        def counting(op, v):
-            calls.append(op)
-            return original(op, v)
+        def counting(op):
+            product = original(op)
 
-        monkeypatch.setattr(align.AlignmentOperator, "apply", counting)
+            def counted(v):
+                calls.append(op)
+                return product(v)
+            return counted
+
+        monkeypatch.setattr(align.AlignmentOperator, "_product", counting)
         return calls
 
     def test_no_apply_beyond_the_eigen_stage(self, apply_calls):

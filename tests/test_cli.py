@@ -1,6 +1,9 @@
+import types
+from contextlib import nullcontext
+
 import pytest
 
-from netalign import operator
+from netalign import harness, operator
 from netalign.align import AlignConfig
 from netalign.cli import _config_from, build_parser, main
 from netalign.harness import GridSpec
@@ -43,6 +46,32 @@ class TestSweep:
         assert run_cli(base + ["--csv", str(serial), "--workers", "1"], capsys)[0] == 0
         assert run_cli(base + ["--csv", str(parallel), "--workers", "4"], capsys)[0] == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("workers,cpus,trials,printed", [
+        (5000, 2, 2, 1),     # 8 trials: one chunk, run in this process
+        (5000, 2, 20, 2),    # 80 trials: ten chunks, two CPUs
+        (5000, 64, 9, 5),    # 36 trials: five chunks
+        (3, 64, 20, 3),
+    ])
+    def test_reports_the_workers_it_runs(self, tmp_path, capsys, monkeypatch,
+                                         workers, cpus, trials, printed):
+        # The pool size printed is the one run_grid asks for; the trials
+        # then run here, so no process is started.
+        started = []
+
+        def serial_pool(max_workers):
+            started.append(max_workers)
+            pool = types.SimpleNamespace(map=lambda fn, items, chunksize: map(fn, items))
+            return nullcontext(pool)
+
+        monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", serial_pool)
+        code, _, err = run_cli(["sweep", "--n", "4", "--lambda", "0,0.5",
+                                "--trials", str(trials), "--workers", str(workers),
+                                "--csv", str(tmp_path / "o.csv")], capsys)
+        assert code == 0
+        assert f"workers={printed}\n" in err
+        assert started == ([] if printed == 1 else [printed])
 
     def test_heatmap_files_written(self, tmp_path, capsys):
         heatmap = tmp_path / "recovery.pgm"

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netalign.align import eigen_align
+from netalign import graphs
 from netalign.graphs import (MAX_EDGE_LIST_VERTICES, Graph, Permutation, RngSeed,
                              apply_noise, format_edge_list, generate_er, matched_edges,
                              parse_edge_list, permute, random_permutation)
@@ -177,6 +178,59 @@ class TestDrawOrder:
                         np.array(g.adjacency), lam, stream.generator())
                     assert np.array_equal(apply_noise(g, lam, stream).adjacency, expected), \
                         (n, lam, seed)
+
+
+class TestStreamReset:
+    """The draw functions reuse one generator per thread, reset to the start
+    of each stream; they draw what a newly built generator draws."""
+
+    # Seeds at both ends of the key range and in between, with sizes that
+    # leave the Philox buffer at different positions.
+    CASES = [(RngSeed(base, stream), 2 + k % 23)
+             for k, (base, stream) in enumerate(
+                 [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0)]
+                 + [(7 * j + 1, 2**63 + 11 * j) for j in range(48)])]
+
+    @staticmethod
+    def draws_match(seed, n, before=lambda: None):
+        """Each draw function against a fresh generator, with `before` run
+        ahead of each one."""
+        def fresh():
+            return oracles.fresh_philox(seed.base_seed, seed.stream_id)
+
+        before()
+        g = generate_er(n, 0.3, seed)
+        assert np.array_equal(g.adjacency, oracles.er_adjacency_triu(n, 0.3, fresh()))
+        before()
+        noisy = apply_noise(g, 0.2, seed)
+        assert np.array_equal(noisy.adjacency,
+                              oracles.noisy_adjacency_triu(g.adjacency, 0.2, fresh()))
+        before()
+        assert np.array_equal(random_permutation(n, seed).map, fresh().permutation(n))
+
+    def test_each_draw_starts_its_stream(self):
+        assert len(self.CASES) >= 50
+        for seed, n in self.CASES:
+            self.draws_match(seed, n)
+
+    def test_after_a_half_used_word(self):
+        # A 32-bit draw leaves the thread's generator holding the other half
+        # of a 64-bit word; the next draw must not start from it.
+        def half_word():
+            rng = graphs._stream(RngSeed(5, 6))
+            rng.integers(0, 2**32, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+        for seed, n in self.CASES:
+            self.draws_match(seed, n, before=half_word)
+
+    def test_generator_is_independent(self):
+        a, b = RngSeed(3, 4).generator(), RngSeed(3, 4).generator()
+        assert a is not b and a.bit_generator is not b.bit_generator
+        first = a.random(5)
+        random_permutation(9, RngSeed(3, 4))
+        assert np.array_equal(b.random(5), first)
+        assert np.array_equal(a.random(5), oracles.fresh_philox(3, 4).random(10)[5:])
 
 
 class TestRngSeed:

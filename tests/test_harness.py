@@ -1,5 +1,7 @@
 import hashlib
 import io
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -58,6 +60,48 @@ class TestStreamDerivation:
         # Frozen: documents that the derivation constants never drift.
         assert mix64(0) == 16294208416658607535  # splitmix64(0), the reference value
         assert mix64(1, 2, 3) == 15020427595393229491
+
+    def test_make_instance_draws_the_derived_streams(self, monkeypatch):
+        # make_instance folds the trial coordinates once; its three streams
+        # are still those of derive_stream, whose ids are mix64 of all six.
+        used = []
+        for name in ("generate_er", "apply_noise", "random_permutation"):
+            draw = getattr(harness, name)
+            monkeypatch.setattr(harness, name,
+                                lambda *args, draw=draw: used.append(args[-1]) or draw(*args))
+        purposes = (STREAM_GRAPH, STREAM_NOISE, STREAM_PERM)
+        for base_seed in (0, 3, 2**64 - 1):
+            for n in (1, 10, 50):
+                for lam in (0.0, 0.05, 0.5):
+                    for trial in (0, 7):
+                        used.clear()
+                        make_instance.__wrapped__(n, 0.2, lam, trial, base_seed)
+                        derived = [derive_stream(base_seed, n, 0.2, lam, trial, purpose)
+                                   for purpose in purposes]
+                        assert used == derived
+                        assert [s.stream_id for s in derived] == [
+                            mix64(base_seed, n, 200_000, round(lam * 1e6), trial, purpose)
+                            for purpose in purposes]
+
+    def test_threads_draw_the_serial_instances(self):
+        # Each thread draws through its own generator: four threads racing
+        # over 36 cells, 20 times, draw what one thread draws.
+        cells = [(n, 0.2, lam, trial, 5) for n in (5, 12, 20) for lam in (0.0, 0.1, 0.3)
+                 for trial in range(4)]
+
+        def drawn(cell):
+            g1, g2, planted = make_instance.__wrapped__(*cell)
+            return g1.adjacency.tobytes(), g2.adjacency.tobytes(), planted.map.tobytes()
+
+        serial = [drawn(cell) for cell in cells]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                for _ in range(20):
+                    assert list(pool.map(drawn, cells)) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_last_instance_kept(self):
         a = make_instance(9, 0.3, 0.2, 6, 17)

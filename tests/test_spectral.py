@@ -243,7 +243,7 @@ class TestKrylovLoop:
         assert op.n > spectral.DENSE_MAX_N
         applied = []
         with monkeypatch.context() as patch:
-            patch.setattr(AlignmentOperator, "apply", lambda op, v: applied.append(v))
+            patch.setattr(AlignmentOperator, "_product", lambda op: applied.append(op))
             res = top_eigenvector(op, tol=tol, max_iters=max_iters)
         assert applied == []
         vector, value, iterations, residual, converged = \
@@ -260,11 +260,16 @@ class TestKrylovLoop:
     @pytest.mark.parametrize("fill", [False, True], ids=["empty", "complete"])
     def test_loop_chosen_from_n_alone(self, fill, monkeypatch):
         # From the uniform start: the `apply` loop up to the bound, the
-        # Krylov loop above it, whatever the fill.
+        # Krylov loop above it, whatever the fill. Both `apply` and the
+        # `apply` loop take their products from `_product`.
         applied = []
-        original = AlignmentOperator.apply
-        monkeypatch.setattr(AlignmentOperator, "apply",
-                            lambda op, v: applied.append(op.n) or original(op, v))
+        original = AlignmentOperator._product
+
+        def counting(op):
+            product = original(op)
+            return lambda v: applied.append(op.n) or product(v)
+
+        monkeypatch.setattr(AlignmentOperator, "_product", counting)
         top = spectral.DENSE_MAX_N
         for n in (1, top, top + 1):
             adj = np.full((n, n), fill)
