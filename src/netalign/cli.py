@@ -169,7 +169,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     for label, path_text in (("--g1", args.g1), ("--g2", args.g2)):
         path = Path(path_text)
         try:
-            graphs.append(parse_edge_list(path.read_text()))
+            graphs.append(parse_edge_list(path.read_text(encoding="utf-8-sig")))
         except OSError as err:
             print(f"error: cannot read {label} file {path}: {err}", file=sys.stderr)
             return 1

@@ -2,35 +2,30 @@
 
 Graphs are stored as a read-only boolean adjacency matrix (O(1) membership);
 `Graph(...)` is the one place adjacency input is coerced and checked. Two
-views are derived from it lazily and cached. The edge index
-(`Graph.edge_index`) holds the sorted flat positions i*n + j of the nonzero
-entries, so each edge appears twice; `matched_edges` gathers from it in O(e)
-and `Graph.csr()` reads its row pointers and column indices off it. The CSR
-view (per-vertex sorted neighbor lists) serves the alignment operator's
-sparse products. All randomness flows through :class:`RngSeed`, which
-keys a counter-based Philox generator, so every stream here is
-bit-reproducible across runs and platforms for equal seeds. A Philox
-stream's whole state is its key and a counter, so the draw functions
-(`generate_er`, `apply_noise`, `random_permutation`) keep one Philox
-generator per thread and reset it to the start of each stream they draw
-from, rather than build a generator per draw; `RngSeed.generator()` still
-returns a new, independent generator on every call.
+views are derived from it lazily and cached: the edge index
+(`Graph.edge_index`), the sorted flat positions i*n + j of the nonzero
+entries that `matched_edges` gathers from in O(e), and the CSR view read off
+it for the alignment operator's sparse products. All randomness flows
+through :class:`RngSeed`, which keys a counter-based Philox generator, so
+every stream here is bit-reproducible across runs and platforms for equal
+seeds; the draw functions reset one generator per thread (`_stream`).
 
-Edge-list text format::
+Edge-list text format, in which a comment takes a whole line::
 
     n <vertex_count>
-    i j          # one 0-indexed edge per line, either orientation
+    # one 0-indexed edge "i j" per line, either orientation
+    i j
     # comment lines and blank lines are ignored
 
-Duplicate lines and both orientations of an edge collapse to a single edge;
-self-loops are rejected. The header's vertex count is bounded by
-`MAX_EDGE_LIST_VERTICES`, checked before anything is allocated, because the
-graph is stored as a dense n x n matrix.
+Repeated edges, in either orientation, collapse; self-loops are rejected.
+The graph is stored dense, so a vertex count above `MAX_EDGE_LIST_VERTICES`
+is rejected before anything is allocated.
 """
 
 from __future__ import annotations
 
 import io
+import re
 import threading
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -83,13 +78,6 @@ class RngSeed:
         return Generator(Philox(key=key))
 
 
-def as_seed(seed: "RngSeed | int") -> RngSeed:
-    """Accept a bare int as shorthand for RngSeed(int, 0)."""
-    if isinstance(seed, RngSeed):
-        return seed
-    return RngSeed(int(seed))
-
-
 # Holds each thread's generator for `_stream`.
 _local = threading.local()
 
@@ -99,10 +87,11 @@ def _stream(seed: "RngSeed | int") -> Generator:
 
     It draws what `seed.generator()` would draw: the state set here (counter
     0, an empty buffer, no half-used 32-bit word) is the one a new
-    Philox(key=...) starts from. Resetting costs a small fraction of
-    building a generator. Valid until the thread's next call.
+    Philox(key=...) starts from, at a small fraction of the cost of building
+    a generator. Valid until the thread's next call; an int k is RngSeed(k).
     """
-    seed = as_seed(seed)
+    if not isinstance(seed, RngSeed):
+        seed = RngSeed(int(seed))
     rng = getattr(_local, "rng", None)
     if rng is None:
         rng = _local.rng = seed.generator()
@@ -385,13 +374,55 @@ def _edge_graph(n: int, rows, cols) -> Graph:
     return Graph._trusted(adj)
 
 
+# `_parse_whole` reads only a header on line 1, then lines that are blank or
+# hold two ASCII-digit ids of at most 9 digits (int64 holds them) between
+# spaces and tabs, "\r" allowed before "\n". One search finds any other line;
+# its first branch, the usual line, is the one the regex engine runs fastest.
+_HEADER = re.compile(r"[ \t]*n[ \t]+([0-9]{1,9})[ \t]*\r?(?=\n|\Z)")
+_ODD_LINE = re.compile(r"\n(?![0-9]{1,9}[ \t]+[0-9]{1,9}\r?\n"
+                       r"|[ \t]*(?:[0-9]{1,9}[ \t]+[0-9]{1,9}[ \t]*)?\r?(?:\n|\Z))")
+
+
 def parse_edge_list(text: str | IO[str]) -> Graph:
-    """Parse the edge-list text format documented in the module docstring."""
-    stream = io.StringIO(text) if isinstance(text, str) else text
+    """Parse the edge-list text format documented in the module docstring.
+    A plain text is read in a few whole-text passes, any other by the loop
+    that defines the format and gives each error its line number."""
+    if isinstance(text, str):
+        lines, graph = io.StringIO(text), _parse_whole(text)
+    else:
+        lines = list(text)
+        whole = "".join(lines)
+        # `_parse_whole` splits at "\n": skip it for a stream split elsewhere.
+        graph = _parse_whole(whole) if lines == whole.splitlines(True) else None
+    return graph if graph is not None else _parse_lines(lines)
+
+
+def _parse_whole(text: str) -> Graph | None:
+    """The graph of a plain text with ids in range and no self-loop, else None
+    (the loop then reports the error); never raises."""
+    head = _HEADER.match(text)
+    n = int(head[1]) if head else 0
+    if not 1 <= n <= MAX_EDGE_LIST_VERTICES:
+        return None
+    body = text[head.end():]
+    if _ODD_LINE.search(body):
+        return None
+    ids = np.fromstring(body, dtype=np.int64, sep=" ")
+    # fromstring reads blank text as [0]: ask for one id per run of digits,
+    # the body's only bytes at or above "0" (it starts with "\n").
+    digit = np.frombuffer(body.encode("ascii"), dtype=np.uint8) >= ord("0")
+    runs = np.count_nonzero(digit[1:] > digit[:-1])
+    rows, cols = ids[0::2], ids[1::2]
+    if ids.size != runs or (ids >= n).any() or (rows == cols).any():
+        return None
+    return _edge_graph(n, rows, cols)
+
+
+def _parse_lines(lines: Iterable[str]) -> Graph:
     n: int | None = None
     rows: list[int] = []
     cols: list[int] = []
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -19,27 +19,19 @@ n x n GEMMs and a sum, O(n^3) per apply. k M1 and M2 are built on the first
 kernels; on tie-heavy inputs that can move an eigenvector's rounding to a
 permutation.
 
-Power iteration (`spectral.top_eigenvector`) takes `apply`'s product,
-without its checks, from a custom start and at n <= `spectral.DENSE_MAX_N`.
-From the uniform start above that bound it never forms a length-n² vector:
-it iterates on Krylov bases of G1 and G2 built from `kronecker_scalars` and
-the graphs' CSR arrays (the measurements are in the `spectral` docstring).
+Power iteration (`spectral.top_eigenvector`) takes `apply`'s product from a
+custom start and at n <= `spectral.DENSE_MAX_N`; above that bound, from the
+uniform start, it iterates on Krylov bases of G1 and G2 (`kronecker_scalars`).
 
 For the 0/1 vectorization of a permutation pi, G1 V G2 = G1 @ G2[pi] and the
 row and column sums of V are all ones, so `permutation_product` needs one
 sparse-dense product with an integer-valued result. The objective y^T A y of
 a permutation has a closed form in its matched-edge count
-(`permutation_objective`, `quadratic_form`).
-`dense_alignment_matrix` builds the full n² x n² matrix entry by entry from
-the scoring rule alone and exists purely as a verification oracle for small
-n.
+(`permutation_objective`, `quadratic_form`). `dense_alignment_matrix`, a
+verification oracle for small n, builds the n² x n² matrix entry by entry.
 
-Every sparse product goes through `_csr_product`, which calls scipy's
-compiled CSR kernels (`csr_matvec`, `csr_matvecs`) on the arrays of
-`Graph.csr()`, which each graph builds once from its cached edge index
-(`Graph.edge_index`). They are the kernels `csr_array @ dense` ends in, so
-every float is the same; at n <= 50 the Python dispatch in front of them
-costs more than the kernel itself.
+Every sparse product goes through `_csr_product`, scipy's compiled CSR
+kernels called on the arrays of `Graph.csr()`.
 """
 
 from __future__ import annotations

@@ -39,23 +39,11 @@ A guard falls back to the column reduction when the leading pair carries
 less than `SORT_DUALS_MIN_SHARE` (half) of ||C||_F^2; far from rank one the
 sort duals are poor and the solver takes longer than from the column means.
 The share, from the two products, bounds the true one from below: it reads
-0.9997-1.0 on 21 EigenAlign instances (n 60-600, lambda 0-0.5) and 0.043
-and 0.0042 on standard-normal 60 x 60 and 600 x 600 matrices.
+nearly 1 on EigenAlign's scores and nearly 0 on standard-normal matrices.
 
-Measured with one BLAS thread on an Intel Xeon (best of 9, mean over 15
-planted instances: seeds 3, 7, 11, lambda 0-0.5), column reduction -> this
-module: p = 0.2, n = 51 101 -> 98 us, n = 55 122 -> 126 us, n = 60 159 ->
-146 us, n = 100 700 -> 425 us, n = 200 4.6 -> 1.9 ms; p = 0.05, n = 51 90 ->
-84 us, n = 100 642 -> 269 us, n = 200 4.4 -> 1.0 ms; n = 600 at mean degree
-7.5 (EigenAlign's sparse benchmark instance, six seeds) 84-92 -> 5.4-6.5 ms.
-At n = 50 the two are level (97 vs 102 us at p = 0.2, 86 vs 78 us at
-p = 0.05; the duals and the guard cost ~30 us), so the sweep sizes, n <= 50,
-keep their column-reduced solve and its bytes. A standard-normal 600 x 600 matrix takes 3-5% longer
-than before (the guard's passes; 10.8-18.1 -> 11.1-18.9 ms); without the
-guard it takes 106-144 ms. Earlier measurements (best of 7, 12 instances),
-raw -> column-reduced: p = 0.2, n = 10 5.4 -> 12.1 us, n = 20 17.8 -> 21.1
-us, n = 25 30.3 -> 30.1 us, n = 50 297 -> 152 us: below n = 25 the extra
-pass costs more than it saves.
+Below n = 25 the column reduction's extra pass costs more than it saves; up
+to n = 50 the sort duals and their guard (about 30 us) cost as much as they
+save, so the sweep sizes keep their column-reduced solve and its bytes.
 
 No reduction changes an optimal total, but the rounding of the reduced
 entries can break a tie differently: from n = `REDUCE_MIN_N` on, and again

@@ -31,16 +31,11 @@ representations of the iterate, chosen from the start and from n alone:
 Both representations take the same iterates, stopping rule and iteration
 counts; their results agree to rounding (~1e-15 relative), not bit for bit.
 `DENSE_MAX_N` is the only size switch between them; the operator itself has
-one product at every n. Measured on planted pairs (best of 5, one BLAS
-thread, 2-core Xeon with AVX-512 OpenBLAS, λ = 0.05), the Krylov loop
-against the `apply` loop takes 1.2 vs 112 ms at n = 600, p = 0.0125;
-0.78 vs 11.8 ms at n = 250, p = 0.02; 0.58 vs 1.5 ms at n = 120, p = 0.05;
-but 0.60 vs 0.38-0.46 ms at n = 60, p = 0.05-0.2. At n = 10-50, p = 0.2
-(best of 7, the same host at a lower clock), it takes 0.60-0.85 ms against
-0.21-0.36 ms for the `apply` loop, 2-3.7x slower. The bound is the largest n of
-the reduced sweep, so at n <= `DENSE_MAX_N` the `apply` loop runs and its
-results stay bit for bit those of the earlier code; above it EigenAlign's
-bytes are those of the Krylov loop.
+one product at every n. The Krylov loop takes 2-4x the `apply` loop's
+time at n <= 50 and 1% of it at n = 600. The bound is the largest n of the
+reduced sweep, so there the `apply` loop runs and its results stay bit for
+bit those of the earlier code; above it EigenAlign's bytes are the Krylov
+loop's.
 """
 
 from __future__ import annotations
@@ -77,12 +72,6 @@ class EigenResult:
         return (np.array_equal(self.vector, other.vector)
                 and (self.value, self.iterations, self.residual, self.converged)
                 == (other.value, other.iterations, other.residual, other.converged))
-
-
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float64 vector; the same dot product and
-    square root np.linalg.norm computes, without its dispatch overhead."""
-    return math.sqrt(x @ x)
 
 
 def top_eigenvector(op: AlignmentOperator,
@@ -132,8 +121,8 @@ def _power_iteration(product, v, tol, max_iters):
     coordinates of w (v itself where they are fixed). Returns
     (v, value, iterations, residual, converged) for the returned iterate.
     """
-    # w - value * v and v_next - v, each needed only for its norm; norms are
-    # `_norm`'s sqrt(x @ x), inlined.
+    # w - value * v and v_next - v, each needed only for its norm sqrt(x @ x),
+    # the dot product and root np.linalg.norm takes, without its dispatch.
     scratch = np.empty(0)
     converged = last = False
     iterations = 0
@@ -197,11 +186,11 @@ class _KrylovBasis:
         r = z - q @ (q.T @ z)
         r -= q @ (q.T @ r)
         n = len(r)
-        norm = _norm(r)
+        norm = math.sqrt(r @ r)
         # Each projection coefficient is an n-term sum, so a direction below
         # n eps ||z|| is indistinguishable from its rounding; n orthonormal
         # columns span R^n.
-        if norm <= n * np.finfo(np.float64).eps * _norm(z) or q.shape[1] == n:
+        if norm <= n * np.finfo(np.float64).eps * math.sqrt(z @ z) or q.shape[1] == n:
             self._closed = True
         else:
             self.q = np.column_stack((q, r / norm))

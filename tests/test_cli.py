@@ -207,6 +207,13 @@ class TestMatch:
         assert code == 1
         assert "bad.txt" in err and "self-loop" in err
 
+    def test_reads_utf8_with_byte_order_mark(self, tmp_path, capsys):
+        g = tmp_path / "bom.txt"
+        g.write_bytes("\ufeffn 3\n0 1\n1 2\n".encode("utf-8"))
+        code, out, err = run_cli(["match", "--g1", str(g), "--g2", str(g)], capsys)
+        assert code == 0, err
+        assert "matched_edges: 2" in out
+
     def test_oversized_header_reported_with_path(self, tmp_path, capsys):
         huge = tmp_path / "huge.txt"
         huge.write_text("n 100000000\n0 1\n")

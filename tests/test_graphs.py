@@ -1,5 +1,7 @@
 import io
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -457,6 +459,175 @@ class TestEdgeListFormat:
     def test_format_sorted(self):
         g = Graph.from_edges(4, [(2, 3), (0, 2), (0, 1)])
         assert format_edge_list(g) == "n 4\n0 1\n0 2\n2 3\n"
+
+    def test_readme_example_parses_verbatim(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("### Edge-list format", 1)[1]
+        example = section.split("```\n", 2)[1]
+        g = parse_edge_list(example)
+        assert g.n == 5 and g.edges() == [(0, 1), (1, 4)]
+
+    @staticmethod
+    def long_list(bad_line=None, header="n 600", edges=4999):
+        """A header and `edges` valid edges, with line `bad_line` replaced."""
+        lines = [header] + [f"{k % 599} {k % 599 + 1}" for k in range(edges)]
+        if bad_line is not None:
+            lines[bad_line[0] - 1] = bad_line[1]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("line,message", [
+        ("5 5", "line 4321: self-loop at vertex 5"),
+        ("5 600", "line 4321: vertex id out of range 0..599"),
+        ("5 6 7", "line 4321: expected 'i j', got '5 6 7'"),
+    ])
+    def test_error_in_long_input_names_its_line(self, line, message):
+        text = self.long_list((4321, line))
+        for source in (text, io.StringIO(text)):
+            with pytest.raises(ValueError) as err:
+                parse_edge_list(source)
+            assert str(err.value) == message
+
+    def test_header_above_limit_over_long_input_rejected_first(self):
+        # 10^16 bytes could never be allocated: see the short test above.
+        text = self.long_list(header="n 100000000", edges=2000)
+        with pytest.raises(ValueError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == ("line 1: vertex count 100000000 exceeds the limit of "
+                                  f"{MAX_EDGE_LIST_VERTICES}")
+
+
+def outcome(parse, source):
+    """`parse(source)`, or the message of the ValueError it raises."""
+    try:
+        return parse(source)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+# Quirks of the edge-list format, each beside the plain forms the whole-text
+# pass reads; the per-line loop is the oracle for all of them. The vertex
+# limit is patched down to LIMIT while the property runs.
+LIMIT = 40
+ODD_IDS = st.sampled_from(["+3", "1_0", "\u0663", "\u0661\u0660", "-1", "1234567890",
+                           "3.0", "x", "#", "n"])
+PLAIN_SEPS = st.sampled_from([" ", "\t", "  ", " \t "])
+ODD_SEPS = st.sampled_from(["\x0c", "\x0b", "\u00a0", "\u2003", "\x1c", "\r", ",", ""])
+PLAIN_PADS = st.sampled_from(["", "", " ", "\t"])
+ODD_PADS = st.sampled_from(["\x0c", "\u00a0", "\x85", "\r", " # note"])
+PLAIN_ENDS = st.sampled_from(["\n", "\n", "\r\n"])
+ODD_ENDS = st.sampled_from(["\r", "\x0b", "\x0c", "\u2028", "\x85", "\r\r\n", "\n\r"])
+NUMERALS = st.sampled_from(["{}", "{}", "{:03d}"])
+ODD_KINDS = st.sampled_from(["1 token", "3 tokens", "comment", "inline", "header"])
+
+
+@st.composite
+def vertex_ids(draw, n):
+    """Mostly an id in range 0..n-1; one in ten anywhere up to past the limit."""
+    high = n - 1 if n > 0 and draw(st.integers(0, 9)) else LIMIT + 1
+    return draw(NUMERALS).format(draw(st.integers(0, high)))
+
+
+@st.composite
+def edge_list_texts(draw):
+    # One pick in `odds` takes the odd form (none at odds 0); at 30 a quirk
+    # often stands alone in an otherwise plain text.
+    odds = draw(st.sampled_from([0, 30, 4]))
+    n = draw(st.integers(0, LIMIT + 1))
+
+    def pick(plain, odd):
+        return draw(odd if odds and draw(st.integers(1, odds)) == 1 else plain)
+
+    def pad():
+        return pick(PLAIN_PADS, ODD_PADS)
+
+    def tokens(count):
+        ids = [pick(vertex_ids(n), ODD_IDS) for _ in range(count)]
+        return pick(PLAIN_SEPS, ODD_SEPS).join(ids)
+
+    def line():
+        kind = pick(st.sampled_from(["edge"] * 6 + ["blank"]), ODD_KINDS)
+        body = {"edge": lambda: tokens(2), "blank": lambda: "",
+                "1 token": lambda: tokens(1), "3 tokens": lambda: tokens(3),
+                "comment": lambda: draw(st.sampled_from(["#", "# n 3", "#0 1"])),
+                "inline": lambda: tokens(2) + " # edge", "header": lambda: "n 3"}[kind]()
+        return pad() + body + pad()
+
+    count = pick(NUMERALS.map(lambda form: form.format(n)), ODD_IDS)
+    lines = [pad() + "n" + pick(PLAIN_SEPS, ODD_SEPS) + count + pad()]
+    lines += [line() for _ in range(draw(st.integers(0, 8)))]
+    lines[:0] = pick(st.just([]), st.sampled_from([[""], ["# graph"], ["  "]]))
+    ends = [pick(PLAIN_ENDS, ODD_ENDS) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(text + end for text, end in zip(lines, ends))
+
+
+def check_agrees_with_loop(text):
+    """The whole-text pass returns the loop's graph or None, None whenever the
+    loop raises, and `parse_edge_list` does what the loop does, for `text`
+    and for streams and iterables of it."""
+    with mock.patch.object(graphs, "MAX_EDGE_LIST_VERTICES", LIMIT):
+        expected = outcome(graphs._parse_lines, io.StringIO(text))
+        fast = graphs._parse_whole(text)
+        assert fast is None or fast == expected  # a Graph never equals an error
+        assert outcome(parse_edge_list, text) == expected
+
+        # A stream, or any iterable of strings, is read as the lines it
+        # yields: whatever its newline mode cuts, or pieces of 7 characters.
+        def sources():
+            for newline in (None, "", "\n", "\r", "\r\n"):
+                yield io.StringIO(text, newline=newline)
+                yield io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8", newline=newline)
+            yield [text[k:k + 7] for k in range(0, len(text), 7)]
+
+        for source, oracle in zip(sources(), sources()):
+            assert outcome(parse_edge_list, source) == outcome(graphs._parse_lines, oracle)
+
+
+class TestWholeTextParse:
+    """`parse_edge_list`'s whole-text pass against its per-line loop."""
+
+    @given(edge_list_texts())
+    @settings(max_examples=600, deadline=None)
+    @example("n 3\n0 1\n1 2\n")
+    @example("n 3\r\n\t0\t2 \r\n\r\n")
+    @example("n 40")
+    @example("n 41\n0 1\n")
+    @example("n 3\r0 1\r")
+    def test_returns_the_loops_graph_or_defers(self, text):
+        check_agrees_with_loop(text)
+
+    @pytest.mark.parametrize("line", [
+        "", " \t ", "1 2 3", "12", "04", "007", "#0 1", "# c", "0 1 # c", "0 1#", "+3 1",
+        "1_0 2", "\u0663 1", "1 \u0661\u0660", "1\x0c2", "\x0c1 2", "1 2\x0c", "1\u00a02",
+        "1\x0b2", "1\x1c2", "1,2", "n 3", "1 1", "0 40", "-1 2", "1234567890 1",
+        "1 2\r", "\r1 2", "1\r2", "1 2\r\r", "0 1\r2 3", "0 1\r\r2 3", "\x85",
+    ])
+    def test_lone_quirk_in_plain_text(self, line):
+        check_agrees_with_loop(f"n 40\n0 1\n{line}\n2 3\n")
+        check_agrees_with_loop(f"n 40\n0 1\n{line}")
+
+    @pytest.mark.parametrize("text", [
+        format_edge_list(generate_er(40, 0.2, RngSeed(3))),
+        "n 4\r\n 0\t1 \r\n\r\n002   3",
+        "n 2",
+    ])
+    def test_reads_plain_texts_itself(self, text):
+        fast = graphs._parse_whole(text)
+        assert fast is not None and fast == graphs._parse_lines(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", [
+        f"n {MAX_EDGE_LIST_VERTICES + 1}\n0 1\n", f"n {MAX_EDGE_LIST_VERTICES}\n3 3\n",
+        "n 0\n", "# graph\nn 3\n0 1\n", "n 3\n\n",
+    ])
+    def test_defers_without_allocating(self, text):
+        tracemalloc.start()
+        try:
+            assert graphs._parse_whole(text) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # a dense graph at the limit takes 10^8 bytes
 
 
 BUILDERS = ("array", "from_edges", "parse_edge_list", "generate_er", "permute")
