@@ -14,13 +14,15 @@ computing and replays the cycle up to the cap: the result (permutation,
 objective, trajectory) is exactly what the capped loop would report, and
 `iterations` and `converged` keep their meaning (the cap, False).
 
-Both pipelines start from the same eigenvector, so the last one computed is
-kept: `eigen_align` and `projected_power_align` run back to back on the same
-`Graph` objects (with equal `epsilon`, `eigen_tol` and `eigen_max_iters`) run
-power iteration once, with results unchanged bit for bit. The entry is keyed
-on the identity of the two graphs, never on their contents, and holds them
-only weakly: the eigenvector stays in memory while both graphs live, and is
-dropped when either is collected or another pair is aligned.
+Both pipelines start from the same eigenvector. Up to n = `DENSE_MAX_N`
+(every sweep cell) the last one computed is kept: `eigen_align` and
+`projected_power_align` run back to back on the same `Graph` objects (with
+equal `epsilon`, `eigen_tol` and `eigen_max_iters`) run power iteration once,
+bit for bit. The entry is keyed on the identity of the two graphs and holds
+them weakly; it is dropped when either is collected or another pair is
+aligned. Above the bound none is kept, so `eigen_align` can write the
+assignment's costs over its own eigenvector and hold one n x n array; PPA
+then repeats the Krylov eigen stage (about 1 ms at n = 600).
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ import numpy as np
 from .graphs import Graph, Permutation, matched_edges
 from .operator import (AlignmentOperator, compute_alpha, make_params,
                        permutation_vector, DEFAULT_EPSILON)
-from .rounding import greedy_round, max_weight_matching
-from .spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, EigenResult, top_eigenvector
+from .rounding import _max_weight_matching, greedy_round, max_weight_matching
+from .spectral import (DEFAULT_MAX_ITERS, DEFAULT_TOL, DENSE_MAX_N, EigenResult,
+                       top_eigenvector)
 
 __all__ = ["AlignConfig", "AlignmentResult", "eigen_align", "projected_power_align"]
 
@@ -110,9 +113,9 @@ def _forget_start(ref: weakref.ref) -> None:
 
 def _spectral_start(g1: Graph, g2: Graph,
                     cfg: AlignConfig) -> tuple[AlignmentOperator, EigenResult]:
-    """The operator of (g1, g2) and its dominant eigenvector; the eigenvector
-    is reused when the previous call saw these very Graph objects and equal
-    eigen settings, which determine it."""
+    """The operator of (g1, g2) and its dominant eigenvector, reused when the
+    previous call saw these very Graph objects and equal eigen settings, which
+    determine it; above `DENSE_MAX_N` a fresh one that is not kept."""
     global _last_start
     op = build_operator(g1, g2, cfg.epsilon)
     settings = (cfg.epsilon, cfg.eigen_tol, cfg.eigen_max_iters)
@@ -121,8 +124,9 @@ def _spectral_start(g1: Graph, g2: Graph,
         return op, entry[3]
     _last_start = None  # free the old vector before computing the new one
     eig = top_eigenvector(op, tol=cfg.eigen_tol, max_iters=cfg.eigen_max_iters)
-    _last_start = (weakref.ref(g1, _forget_start), weakref.ref(g2, _forget_start),
-                   settings, eig)
+    if op.n <= DENSE_MAX_N:
+        _last_start = (weakref.ref(g1, _forget_start), weakref.ref(g2, _forget_start),
+                       settings, eig)
     return op, eig
 
 
@@ -130,7 +134,12 @@ def eigen_align(g1: Graph, g2: Graph, cfg: AlignConfig = AlignConfig()) -> Align
     """Dominant eigenvector of the scoring operator, rounded by exact assignment."""
     op, eig = _spectral_start(g1, g2, cfg)
     scores = eig.vector.reshape(op.n, op.n)
-    perm = max_weight_matching(scores)
+    if op.n > DENSE_MAX_N:
+        # Not kept by `_spectral_start`, so no caller sees the costs.
+        scores.flags.writeable = True
+        perm = _max_weight_matching(scores, out=scores)
+    else:
+        perm = max_weight_matching(scores)
     matched = matched_edges(g1, g2, perm)
     return AlignmentResult(
         permutation=perm,

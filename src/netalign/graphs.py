@@ -10,7 +10,8 @@ through :class:`RngSeed`, which keys a counter-based Philox generator, so
 every stream here is bit-reproducible across runs and platforms for equal
 seeds; the draw functions reset one generator per thread (`_stream`).
 
-Edge-list text format, in which a comment takes a whole line::
+Edge-list text format, in which a comment takes a whole line and the count
+and ids are ASCII digits::
 
     n <vertex_count>
     # one 0-indexed edge "i j" per line, either orientation
@@ -430,10 +431,9 @@ def _parse_lines(lines: Iterable[str]) -> Graph:
         if n is None:
             if len(parts) != 2 or parts[0] != "n":
                 raise ValueError(f"line {lineno}: expected header 'n <count>', got {line!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+            if not _is_digits(parts[1]):
+                raise ValueError(f"line {lineno}: bad vertex count {parts[1]!r}")
+            n = int(parts[1])
             if n < 1:
                 raise ValueError(f"line {lineno}: vertex count must be positive")
             if n > MAX_EDGE_LIST_VERTICES:
@@ -442,19 +442,23 @@ def _parse_lines(lines: Iterable[str]) -> Graph:
             continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer vertex id in {line!r}") from None
+        if not (_is_digits(parts[0]) and _is_digits(parts[1])):
+            raise ValueError(f"line {lineno}: non-integer vertex id in {line!r}")
+        i, j = int(parts[0]), int(parts[1])
         if i == j:
             raise ValueError(f"line {lineno}: self-loop at vertex {i}")
-        if not (0 <= i < n and 0 <= j < n):
+        if not (i < n and j < n):
             raise ValueError(f"line {lineno}: vertex id out of range 0..{n - 1}")
         rows.append(i)
         cols.append(j)
     if n is None:
         raise ValueError("missing 'n <count>' header line")
     return _edge_graph(n, rows, cols)
+
+
+def _is_digits(token: str) -> bool:
+    """ASCII digits only: `int` also reads "+3", "1_0" and other scripts' digits."""
+    return token.isascii() and token.isdigit()
 
 
 def format_edge_list(g: Graph) -> str:

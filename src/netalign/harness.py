@@ -9,10 +9,10 @@ is a pure function of its spec regardless of scheduling or worker count.
 
 `make_instance` keeps its last instance, so a sweep, which runs the
 algorithms of one (n, lambda, trial) cell back to back, draws each instance
-once per cell and hands every matcher the same `Graph` objects; EigenAlign
-and PPA then also share one eigenvector (see `netalign.align`). Records are
-unchanged bit for bit. The last instance stays in memory until the next one
-is drawn.
+once per cell and hands every matcher the same `Graph` objects; up to n = 50
+EigenAlign and PPA then also share one eigenvector (see `netalign.align`).
+Records are unchanged bit for bit. The last instance stays in memory until
+the next one is drawn.
 
 Serialization: CSV with the fixed header
 

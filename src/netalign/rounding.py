@@ -33,7 +33,8 @@ Monge inequalities, nonnegative elsewhere. On EigenAlign's scores they are
 nearly so, and the solver only repairs the few violations. x and y come from
 two alternating products with C started from s[0] - column means (four
 passes over the scores, C never formed); the costs are one n x n array, as
-for the column reduction.
+for the column reduction. The private `_max_weight_matching` can write them
+into a given buffer, the scores included (EigenAlign's, above n = 50).
 
 A guard falls back to the column reduction when the leading pair carries
 less than `SORT_DUALS_MIN_SHARE` (half) of ||C||_F^2; far from rank one the
@@ -80,15 +81,17 @@ def _check_scores(scores: np.ndarray) -> np.ndarray:
 
 
 def max_weight_matching(scores: np.ndarray) -> Permutation:
-    """Permutation maximizing sum_i scores[i, sigma(i)], by exact assignment.
+    """Permutation maximizing sum_i scores[i, sigma(i)], by exact assignment
+    of the raw scores or of reduced costs (module docstring). `scores` is
+    never written to."""
+    return _max_weight_matching(scores)
 
-    Below n = `REDUCE_MIN_N` it solves the raw scores. From there on it
-    minimizes reduced costs u_i + v_j - scores[i, j] (module docstring): the
-    duals of the leading-factor sort matching from n = `SORT_DUALS_MIN_N` on
-    when the guard accepts them, else u = 0 and v the column means. Either
-    cost matrix is one n x n array; the subtraction also negates, which
-    `maximize=True` would do on its own copy.
-    """
+
+def _max_weight_matching(scores: np.ndarray, out: np.ndarray | None = None) -> Permutation:
+    """`max_weight_matching`, with the costs u_i + v_j - s_ij written into
+    `out` from n = `REDUCE_MIN_N` on (a fresh array when None). `out` may be
+    the scores themselves: the duals are computed first, and the subtraction
+    also negates, which `maximize=True` would do on its own copy."""
     s = _check_scores(scores)
     n = s.shape[0]
     if n < REDUCE_MIN_N:
@@ -97,10 +100,10 @@ def max_weight_matching(scores: np.ndarray) -> Permutation:
         col_mean = s.sum(axis=0) / n
         duals = _sort_duals(s, col_mean) if n >= SORT_DUALS_MIN_N else None
         if duals is None:
-            cost = col_mean - s
+            cost = np.subtract(col_mean, s, out=out)
         else:
             u, v = duals
-            cost = v - s
+            cost = np.subtract(v, s, out=out)
             cost += u[:, None]
         rows, cols = linear_sum_assignment(cost)
     mapping = np.empty(n, dtype=np.int64)

@@ -65,7 +65,8 @@ def suite_matching_oracle(seed: int, draws: int = 50, n: int = 6,
                           planted_n: int = 60) -> SuiteResult:
     """Exact assignment vs exhaustive n! search; then, on the EigenAlign
     scores of one sparse planted pair above `rounding.SORT_DUALS_MIN_N`
-    (solved on sort-matching duals), its exact total vs scipy's raw solve."""
+    (solved on sort-matching duals), its exact total vs scipy's raw solve,
+    and `eigen_align`'s in-place rounding vs that of the read-only vector."""
     rng = RngSeed(mix64(seed, 102)).generator()
     for k in range(draws):
         scores = rng.standard_normal((n, n))
@@ -82,9 +83,14 @@ def suite_matching_oracle(seed: int, draws: int = 50, n: int = 6,
     if rounding._sort_duals(scores, scores.sum(axis=0) / planted_n) is None:
         return SuiteResult("assignment-oracle", False,
                            f"planted n={planted_n}: the guard rejected the sort-matching duals")
+    exact = rounding.max_weight_matching(scores).map
+    if not np.array_equal(align.eigen_align(g1, g2).permutation.map, exact):
+        return SuiteResult("assignment-oracle", False,
+                           f"planted n={planted_n}: eigen_align's in-place rounding differs "
+                           "from the rounding of the read-only eigenvector")
     _, raw = linear_sum_assignment(scores, maximize=True)
     got, best = (sum(map(Fraction, scores[np.arange(planted_n), mapping].tolist()))
-                 for mapping in (rounding.max_weight_matching(scores).map, raw))
+                 for mapping in (exact, raw))
     if got < best:
         return SuiteResult("assignment-oracle", False,
                            f"planted n={planted_n}: exact total {float(got)!r} is below "
@@ -92,7 +98,7 @@ def suite_matching_oracle(seed: int, draws: int = 50, n: int = 6,
     return SuiteResult("assignment-oracle", True,
                        f"{draws} random {n}x{n} matrices match the exhaustive optimum; "
                        f"the planted n={planted_n} scores' exact total is at least "
-                       "scipy's raw solve's")
+                       "scipy's raw solve's, and eigen_align returns that solve")
 
 
 def suite_eigen_residual(max_n: int, seed: int, draws: int = 20) -> SuiteResult:

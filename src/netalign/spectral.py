@@ -30,12 +30,9 @@ representations of the iterate, chosen from the start and from n alone:
 
 Both representations take the same iterates, stopping rule and iteration
 counts; their results agree to rounding (~1e-15 relative), not bit for bit.
-`DENSE_MAX_N` is the only size switch between them; the operator itself has
-one product at every n. The Krylov loop takes 2-4x the `apply` loop's
-time at n <= 50 and 1% of it at n = 600. The bound is the largest n of the
-reduced sweep, so there the `apply` loop runs and its results stay bit for
-bit those of the earlier code; above it EigenAlign's bytes are the Krylov
-loop's.
+`DENSE_MAX_N` is the only size switch between them. The Krylov loop takes
+2-4x the `apply` loop's time at n <= 50 and 1% of it at n = 600; the bound
+is the largest n of the reduced sweep. `align` keeps eigenvectors up to it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import functools
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,8 +15,8 @@ from netalign.graphs import (Graph, RngSeed, generate_er, matched_edges,
 from netalign.harness import make_instance
 from netalign.operator import (DegenerateBalanceError, dense_alignment_matrix,
                                permutation_vector, quadratic_form)
-from netalign.rounding import greedy_round
-from netalign.spectral import top_eigenvector
+from netalign.rounding import greedy_round, max_weight_matching
+from netalign.spectral import DENSE_MAX_N, top_eigenvector
 
 import oracles
 
@@ -286,9 +287,9 @@ class TestCycleReplay:
         assert log.tobytes() == np.array(trajectory, dtype=log.dtype).tobytes()
 
 
-def fresh_pair(n=20, lam=0.1, trial=0, seed=5):
+def fresh_pair(n=20, lam=0.1, trial=0, seed=5, p=0.2):
     """Graph objects no other test holds: copies of a planted instance."""
-    g1, g2, _ = make_instance(n, 0.2, lam, trial, seed)
+    g1, g2, _ = make_instance(n, p, lam, trial, seed)
     return Graph(g1.adjacency), Graph(g2.adjacency)
 
 
@@ -361,6 +362,57 @@ class TestSharedSpectralStart:
         fresh = projected_power_align(Graph(g1.adjacency), Graph(g2.adjacency), cfg)
         assert len(eigen_calls) == 2
         assert_same_result(hit, fresh)
+
+
+    @pytest.mark.parametrize("first, second", [(eigen_align, projected_power_align),
+                                               (projected_power_align, eigen_align)])
+    def test_not_kept_above_the_dense_bound(self, eigen_calls, first, second):
+        # Above the bound eigen_align writes its costs over its eigenvector,
+        # so in neither order may one matcher take the other's.
+        g1, g2 = fresh_pair(n=60, lam=0.05)
+        assert g1.n > DENSE_MAX_N
+        results = [run(g1, g2) for run in (first, second)]
+        assert len(eigen_calls) == 2
+        for run, result in zip((first, second), results):
+            assert_same_result(result, run(Graph(g1.adjacency), Graph(g2.adjacency)))
+
+
+class TestEigenAlignRoundsInPlace:
+    """Above `DENSE_MAX_N` eigen_align writes the assignment's costs over its
+    own eigenvector: the answer of rounding the read-only vector, bit for
+    bit, with one n² float array held at a time."""
+
+    @pytest.mark.parametrize("n, p, lam, seed",
+                             [(600, 0.0125, 0.001, seed) for seed in (1, 2, 3, 5, 6, 4242)]
+                             + [(51, 0.1, 0.05, 1), (60, 0.1, 0.05, 1), (200, 0.05, 0.02, 1)])
+    def test_same_bytes_as_rounding_the_read_only_vector(self, n, p, lam, seed):
+        g1, g2, _ = make_instance(n, p, lam, 0, seed)
+        op = build_operator(g1, g2)
+        eig = top_eigenvector(op)
+        assert not eig.vector.flags.writeable
+        vector = eig.vector.tobytes()
+        perm = max_weight_matching(eig.vector.reshape(n, n))
+        matched = matched_edges(g1, g2, perm)
+        result = eigen_align(g1, g2)
+        assert result.permutation == perm
+        assert result.matched_edges == matched
+        assert (np.float64(result.objective).tobytes()
+                == np.float64(op.matched_objective(matched)).tobytes())
+        assert eig.vector.tobytes() == vector
+
+    @pytest.mark.parametrize("n, p", [(200, 0.05), (600, 0.0125)])
+    def test_peak_memory_one_float_array(self, n, p):
+        g1, g2 = fresh_pair(n=n, lam=0.001, p=p)
+        for g in (g1, g2):
+            g.edge_index, g.csr()
+        tracemalloc.start()
+        try:
+            eigen_align(g1, g2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The eigenvector is 8 n² bytes; a separate cost matrix would double it.
+        assert peak < 1.5 * 8 * n * n
 
 
 class TestPpaStartProduct:

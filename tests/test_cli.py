@@ -3,8 +3,9 @@ from contextlib import nullcontext
 
 import pytest
 
-from netalign import harness, operator
+from netalign import align, harness, operator
 from netalign.align import AlignConfig
+from netalign.graphs import Permutation
 from netalign.cli import _config_from, build_parser, main
 from netalign.harness import GridSpec
 
@@ -289,6 +290,19 @@ class TestSelftest:
         code, out, _ = run_cli(["selftest"], capsys)
         assert code == 1
         assert "FAIL dense-operator-equivalence" in out
+
+    def test_corrupted_in_place_rounding_detected(self, capsys, monkeypatch):
+        # The planted n = 60 check runs eigen_align's in-place rounding, the
+        # path `netalign match` takes above n = 50.
+        original = align._max_weight_matching
+
+        def corrupted(s, out=None):
+            return Permutation(original(s, out).map[::-1])
+
+        monkeypatch.setattr(align, "_max_weight_matching", corrupted)
+        code, out, _ = run_cli(["selftest"], capsys)
+        assert code == 1
+        assert "FAIL assignment-oracle: planted n=60: eigen_align's in-place" in out
 
 
 class TestModuleEntry:

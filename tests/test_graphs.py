@@ -436,6 +436,18 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError, match="header"):
             parse_edge_list("0 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("n 40\n1_0 2\n", "line 2: non-integer vertex id in '1_0 2'"),
+        ("n 40\n+3 \u0661\u0662\n", "line 2: non-integer vertex id in '+3 \u0661\u0662'"),
+        ("n +5\n0 1\n", "line 1: bad vertex count '+5'"),
+    ])
+    def test_only_ascii_digits_are_numbers(self, text, message):
+        # Python's int() reads each of these tokens; as ids they are typos.
+        for source in (text, io.StringIO(text)):
+            with pytest.raises(ValueError) as err:
+                parse_edge_list(source)
+            assert str(err.value) == message
+
     def test_header_above_limit_rejected_before_allocating(self):
         # 10^16 bytes could never be allocated: a parser that trusted this
         # header would fail with MemoryError, not with this ValueError.

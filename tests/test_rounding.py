@@ -212,6 +212,23 @@ def test_reduced_path_loses_no_exact_total(n, p, lam, seed, monkeypatch):
         assert total == oracles.assignment_score_exact(scores, column_reduced)
 
 
+@pytest.mark.parametrize("case", ["eigen-n24", "eigen-n25", "eigen-n50", "eigen-n51",
+                                  "normal-n60"])
+def test_leaves_its_input_unchanged(case):
+    """In every regime, the guard's fallback included, the public solve
+    writes nothing to a writable input (EigenAlign's in-place rounding is a
+    private path)."""
+    n = int(case.rsplit("n", 1)[1])
+    if case.startswith("eigen"):
+        scores = np.array(eigen_scores(n, 0.2, 0.05, 11))
+    else:
+        scores = np.random.default_rng(60).standard_normal((n, n))
+        assert rounding._sort_duals(scores, scores.sum(axis=0) / n) is None
+    before = scores.tobytes()
+    max_weight_matching(scores)
+    assert scores.tobytes() == before
+
+
 def spy_costs(monkeypatch):
     """Record the (cost, maximize) of every `linear_sum_assignment` call."""
     calls = []
