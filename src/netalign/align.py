@@ -15,21 +15,17 @@ objective, trajectory) is exactly what the capped loop would report, and
 `iterations` and `converged` keep their meaning (the cap, False).
 
 Both pipelines start from the same eigenvector. Up to n = `DENSE_MAX_N`
-(every sweep cell) the last one computed is kept: `eigen_align` and
-`projected_power_align` run back to back on the same `Graph` objects (with
-equal `epsilon`, `eigen_tol` and `eigen_max_iters`) run power iteration once,
-bit for bit. The entry is keyed on the identity of the two graphs and holds
-them weakly; it is dropped when either is collected or another pair is
-aligned. Above the bound none is kept, so `eigen_align` can write the
-assignment's costs over its own eigenvector and hold one n x n array; PPA
-then repeats the Krylov eigen stage (about 1 ms at n = 600).
+(every sweep cell) the last one is kept, keyed on the graphs' values and the
+eigen settings, so EigenAlign and PPA on one pair run power iteration once.
+Above the bound none is kept and `eigen_align` writes the assignment's costs
+over its own eigenvector.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,38 +92,21 @@ def build_operator(g1: Graph, g2: Graph, epsilon: float = DEFAULT_EPSILON) -> Al
     return AlignmentOperator(g1, g2, make_params(alpha, epsilon))
 
 
-# The last spectral start: (weakref to g1, weakref to g2, eigen settings,
-# EigenResult), or None. It is replaced by one assignment and read into a
-# local before it is checked, so concurrent callers can at worst miss. The
-# operator is not kept: it references both graphs and would keep them alive.
-_last_start: tuple[weakref.ref, weakref.ref, tuple, EigenResult] | None = None
+def _start(g1: Graph, g2: Graph, epsilon: float, eigen_tol: float,
+           eigen_max_iters: int) -> tuple[AlignmentOperator, EigenResult]:
+    """The operator of (g1, g2) and its dominant eigenvector."""
+    op = build_operator(g1, g2, epsilon)
+    return op, top_eigenvector(op, tol=eigen_tol, max_iters=eigen_max_iters)
 
 
-def _forget_start(ref: weakref.ref) -> None:
-    """Drop the entry once either of its graphs is collected."""
-    global _last_start
-    entry = _last_start
-    if entry is not None and (entry[0] is ref or entry[1] is ref):
-        _last_start = None
+_kept_start = functools.lru_cache(maxsize=1)(_start)
 
 
 def _spectral_start(g1: Graph, g2: Graph,
                     cfg: AlignConfig) -> tuple[AlignmentOperator, EigenResult]:
-    """The operator of (g1, g2) and its dominant eigenvector, reused when the
-    previous call saw these very Graph objects and equal eigen settings, which
-    determine it; above `DENSE_MAX_N` a fresh one that is not kept."""
-    global _last_start
-    op = build_operator(g1, g2, cfg.epsilon)
-    settings = (cfg.epsilon, cfg.eigen_tol, cfg.eigen_max_iters)
-    entry = _last_start
-    if entry is not None and entry[0]() is g1 and entry[1]() is g2 and entry[2] == settings:
-        return op, entry[3]
-    _last_start = None  # free the old vector before computing the new one
-    eig = top_eigenvector(op, tol=cfg.eigen_tol, max_iters=cfg.eigen_max_iters)
-    if op.n <= DENSE_MAX_N:
-        _last_start = (weakref.ref(g1, _forget_start), weakref.ref(g2, _forget_start),
-                       settings, eig)
-    return op, eig
+    """`_start` for cfg's eigen settings; the last one is kept up to `DENSE_MAX_N`."""
+    start = _kept_start if g1.n <= DENSE_MAX_N else _start
+    return start(g1, g2, cfg.epsilon, cfg.eigen_tol, cfg.eigen_max_iters)
 
 
 def eigen_align(g1: Graph, g2: Graph, cfg: AlignConfig = AlignConfig()) -> AlignmentResult:

@@ -116,7 +116,7 @@ class Graph:
     share across threads.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_edge_index", "_csr", "__weakref__")
+    __slots__ = ("_adj", "_edge_count", "_edge_index", "_csr")
 
     def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency)

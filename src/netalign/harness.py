@@ -7,12 +7,9 @@ permutation) are derived from the trial coordinates alone - never from the
 algorithm - so every matcher faces the identical instance, and every record
 is a pure function of its spec regardless of scheduling or worker count.
 
-`make_instance` keeps its last instance, so a sweep, which runs the
-algorithms of one (n, lambda, trial) cell back to back, draws each instance
-once per cell and hands every matcher the same `Graph` objects; up to n = 50
-EigenAlign and PPA then also share one eigenvector (see `netalign.align`).
-Records are unchanged bit for bit. The last instance stays in memory until
-the next one is drawn.
+A sweep runs the algorithms of one (n, lambda, trial) cell back to back, and
+`make_instance` keeps the last instance, so each cell draws it once (up to
+n = 50 its matchers also share one eigenvector, see `netalign.align`).
 
 Serialization: CSV with the fixed header
 
@@ -151,6 +148,8 @@ class TrialSpec:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         _check_ranges((self.n,), self.p, (self.lam,), self.base_seed)
+        if self.trial_index < 0:
+            raise ValueError(f"trial_index must be nonnegative, got {self.trial_index}")
 
 
 @dataclass(frozen=True)
@@ -183,11 +182,8 @@ def _round6(x: float) -> float:
 @functools.lru_cache(maxsize=1)
 def make_instance(n: int, p: float, lam: float, trial_index: int,
                   base_seed: int) -> tuple[Graph, Graph, Permutation]:
-    """Planted instance (G1, G2, hidden permutation) for one trial cell.
-
-    The last instance is kept: the same arguments again return the same
-    (immutable) objects.
-    """
+    """Planted instance (G1, G2, hidden permutation) for one trial cell; the
+    last one is kept."""
     # derive_stream's three seeds, with the trial coordinates folded once.
     prefix = _cell_prefix(base_seed, n, p, lam, trial_index)
     g1 = generate_er(n, p, _purpose_stream(base_seed, prefix, STREAM_GRAPH))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import sys
@@ -172,10 +173,21 @@ class TestRunTrial:
             TrialSpec(n=MAX_EDGE_LIST_VERTICES + 1, p=0.2, lam=0.0, trial_index=0,
                       base_seed=0, algorithm="ppa")
 
+    def test_every_spec_gives_a_record_read_csv_accepts(self):
+        # `read_csv` refuses a negative trial_index, so `TrialSpec` does too.
+        with pytest.raises(ValueError, match="trial_index must be nonnegative"):
+            TrialSpec(n=5, p=0.4, lam=0.0, trial_index=-1, base_seed=0,
+                      algorithm="ppa")
+        record = run_trial(TrialSpec(n=5, p=0.4, lam=0.0, trial_index=0, base_seed=0,
+                                     algorithm="ppa"))
+        sink = io.StringIO()
+        write_csv([record], sink)
+        assert read_csv(io.StringIO(sink.getvalue())) == [record]
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_one_operator_per_trial(self, monkeypatch, algorithm):
         # The planted permutation is scored in closed form, so the matcher's
-        # operator is the only one built.
+        # operator is the only one built, and the cell's other matcher reuses it.
         built = []
         real = align.build_operator
 
@@ -185,8 +197,13 @@ class TestRunTrial:
 
         monkeypatch.setattr(align, "build_operator", counting)
         monkeypatch.setattr(harness, "build_operator", counting)
-        rec = run_trial(TrialSpec(n=9, p=0.4, lam=0.1, trial_index=6, base_seed=13,
-                                  algorithm=algorithm))
+        align._kept_start.cache_clear()
+        spec = TrialSpec(n=9, p=0.4, lam=0.1, trial_index=6, base_seed=13,
+                         algorithm=algorithm)
+        rec = run_trial(spec)
+        assert len(built) == 1
+        [other] = set(ALGORITHMS) - {algorithm}
+        run_trial(dataclasses.replace(spec, algorithm=other))
         assert len(built) == 1
         g1, g2, planted = make_instance(9, 0.4, 0.1, 6, 13)
         result = harness._run_algorithm(algorithm, g1, g2, harness.AlignConfig())

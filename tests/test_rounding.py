@@ -158,24 +158,6 @@ class TestMaxWeightMatchingReduced(TestMaxWeightMatching):
         assert exact_total >= greedy_total - 1e-12
 
 
-@pytest.mark.parametrize("n, reduced", [(rounding.REDUCE_MIN_N - 1, False),
-                                        (rounding.REDUCE_MIN_N, True)])
-def test_reduction_chosen_from_n(monkeypatch, n, reduced):
-    calls = []
-
-    def spy(cost, maximize=False):
-        calls.append((cost, maximize))
-        return linear_sum_assignment(cost, maximize=maximize)
-
-    monkeypatch.setattr(rounding, "linear_sum_assignment", spy)
-    scores = np.random.default_rng(n).standard_normal((n, n))
-    max_weight_matching(scores)
-    [(cost, maximize)] = calls
-    assert maximize is not reduced
-    expected = scores.mean(axis=0) - scores if reduced else scores
-    assert np.allclose(cost, expected, rtol=0, atol=1e-12)
-
-
 # EigenAlign scores above REDUCE_MIN_N: planted instances at p = 0.2 over
 # several noise levels and two seeds, and one sparse pair. Above
 # SORT_DUALS_MIN_N: planted n = 60, 100 and 200, and match-sparse's instance
