@@ -116,7 +116,7 @@ class Graph:
     share across threads.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_edge_index", "_csr")
+    __slots__ = ("_adj", "_edge_count", "_edge_index", "_csr", "_hash")
 
     def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency)
@@ -148,6 +148,7 @@ class Graph:
         self._edge_count = int(np.count_nonzero(adj)) // 2
         self._edge_index = None
         self._csr = None
+        self._hash = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -223,7 +224,14 @@ class Graph:
         return self.n == other.n and np.array_equal(self._adj, other._adj)
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj.tobytes()))
+        # Kept: the adjacency never changes. A pickle carries only the
+        # adjacency, since bytes hash differently in another process.
+        if self._hash is None:
+            self._hash = hash((self.n, self._adj.tobytes()))
+        return self._hash
+
+    def __reduce__(self):
+        return Graph._trusted, (self._adj,)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"

@@ -61,12 +61,17 @@ def suite_dense_equivalence(max_n: int, seed: int, draws: int = 40) -> SuiteResu
                        f"over {draws} draws (tol 1e-12)")
 
 
-def suite_matching_oracle(seed: int, draws: int = 50, n: int = 6,
-                          planted_n: int = 60) -> SuiteResult:
+# Planted pairs (n, p, lambda) above `rounding.SORT_DUALS_MIN_N`: the denser
+# one fails the sort matching's certificate and is solved whole, while the
+# sparse one's sort matching is certified, or repaired in small blocks.
+PLANTED_PAIRS = ((60, 0.1, 0.05), (200, 0.02, 0.001))
+
+
+def suite_matching_oracle(seed: int, draws: int = 50, n: int = 6) -> SuiteResult:
     """Exact assignment vs exhaustive n! search; then, on the EigenAlign
-    scores of one sparse planted pair above `rounding.SORT_DUALS_MIN_N`
-    (solved on sort-matching duals), its exact total vs scipy's raw solve,
-    and `eigen_align`'s in-place rounding vs that of the read-only vector."""
+    scores of each planted pair (solved on sort-matching duals), its exact
+    total vs scipy's raw solve and the column-reduced solve, and
+    `eigen_align`'s in-place rounding vs that of the read-only vector."""
     rng = RngSeed(mix64(seed, 102)).generator()
     for k in range(draws):
         scores = rng.standard_normal((n, n))
@@ -77,28 +82,33 @@ def suite_matching_oracle(seed: int, draws: int = 50, n: int = 6,
         if got != best:
             return SuiteResult("assignment-oracle", False,
                                f"draw {k}: assignment weight {got} != brute force {best}")
-    g1, g2, _ = make_instance(planted_n, 0.1, 0.05, 0, seed)
-    scores = spectral.top_eigenvector(align.build_operator(g1, g2)).vector
-    scores = scores.reshape(planted_n, planted_n)
-    if rounding._sort_duals(scores, scores.sum(axis=0) / planted_n) is None:
-        return SuiteResult("assignment-oracle", False,
-                           f"planted n={planted_n}: the guard rejected the sort-matching duals")
-    exact = rounding.max_weight_matching(scores).map
-    if not np.array_equal(align.eigen_align(g1, g2).permutation.map, exact):
-        return SuiteResult("assignment-oracle", False,
-                           f"planted n={planted_n}: eigen_align's in-place rounding differs "
-                           "from the rounding of the read-only eigenvector")
-    _, raw = linear_sum_assignment(scores, maximize=True)
-    got, best = (sum(map(Fraction, scores[np.arange(planted_n), mapping].tolist()))
-                 for mapping in (exact, raw))
-    if got < best:
-        return SuiteResult("assignment-oracle", False,
-                           f"planted n={planted_n}: exact total {float(got)!r} is below "
-                           f"scipy's raw solve by {float(best - got):.3e}")
+    for planted_n, p, lam in PLANTED_PAIRS:
+        g1, g2, _ = make_instance(planted_n, p, lam, 0, seed)
+        scores = spectral.top_eigenvector(align.build_operator(g1, g2)).vector
+        scores = scores.reshape(planted_n, planted_n)
+        col_mean = scores.sum(axis=0) / planted_n
+        if rounding._sort_duals(scores, col_mean) is None:
+            return SuiteResult("assignment-oracle", False,
+                               f"planted n={planted_n}: the guard rejected the sort-matching duals")
+        exact = rounding.max_weight_matching(scores).map
+        if not np.array_equal(align.eigen_align(g1, g2).permutation.map, exact):
+            return SuiteResult("assignment-oracle", False,
+                               f"planted n={planted_n}: eigen_align's in-place rounding differs "
+                               "from the rounding of the read-only eigenvector")
+        _, raw = linear_sum_assignment(scores, maximize=True)
+        _, column_reduced = linear_sum_assignment(col_mean - scores)
+        got, *others = (sum(map(Fraction, scores[np.arange(planted_n), mapping].tolist()))
+                        for mapping in (exact, raw, column_reduced))
+        for name, best in zip(("scipy's raw solve", "the column-reduced solve"), others):
+            if got < best:
+                return SuiteResult("assignment-oracle", False,
+                                   f"planted n={planted_n}: exact total {float(got)!r} is below "
+                                   f"{name} by {float(best - got):.3e}")
+    sizes = " and ".join(f"n={planted_n}" for planted_n, _, _ in PLANTED_PAIRS)
     return SuiteResult("assignment-oracle", True,
                        f"{draws} random {n}x{n} matrices match the exhaustive optimum; "
-                       f"the planted n={planted_n} scores' exact total is at least "
-                       "scipy's raw solve's, and eigen_align returns that solve")
+                       f"the planted {sizes} scores' exact totals are at least scipy's raw "
+                       "and column-reduced solves', and eigen_align returns the same solves")
 
 
 def suite_eigen_residual(max_n: int, seed: int, draws: int = 20) -> SuiteResult:

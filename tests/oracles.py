@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 from numpy.random import Generator, Philox
+from scipy.optimize import linear_sum_assignment
 
 
 def count_matched_edges_loop(adj1, adj2, mapping):
@@ -144,6 +145,20 @@ def assignment_score_exact(scores, mapping):
 
 # Earlier versions of the planted-trial path, kept as bit-for-bit references
 # for the faster code that replaced them.
+
+def full_solve_on_duals(scores, u, v):
+    """The exact assignment on the whole cost matrix u_i + v_j - s_ij, with
+    the arithmetic of `rounding._max_weight_matching` on sort-matching duals:
+    (v - s) first, then + u. Above n = 50 every input was solved this way
+    before the sort matching's own certificate; inputs that fail it still
+    are. Returns (costs, mapping)."""
+    cost = np.subtract(v, scores)
+    cost += u[:, None]
+    rows, cols = linear_sum_assignment(cost)
+    mapping = np.empty(scores.shape[0], dtype=np.int64)
+    mapping[rows] = cols
+    return cost, mapping
+
 
 def csr_via_dense(adj):
     """Float64 CSR view built through a dense float copy and scipy's COO path."""

@@ -3,7 +3,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from netalign import align, harness, operator
+from netalign import align, harness, operator, rounding
 from netalign.align import AlignConfig
 from netalign.graphs import Permutation
 from netalign.cli import _config_from, build_parser, main
@@ -303,6 +303,22 @@ class TestSelftest:
         code, out, _ = run_cli(["selftest"], capsys)
         assert code == 1
         assert "FAIL assignment-oracle: planted n=60: eigen_align's in-place" in out
+
+    def test_wrong_certified_matching_detected(self, capsys, monkeypatch):
+        # The sparse planted n = 200 pair skips the full solve; a sort
+        # matching returned with two rows' columns swapped loses total.
+        original = rounding._certified_sort_matching
+
+        def corrupted(*args):
+            mapping = original(*args)
+            if mapping is not None:
+                mapping[[0, 1]] = mapping[[1, 0]]
+            return mapping
+
+        monkeypatch.setattr(rounding, "_certified_sort_matching", corrupted)
+        code, out, _ = run_cli(["selftest"], capsys)
+        assert code == 1
+        assert "FAIL assignment-oracle: planted n=200: exact total" in out
 
 
 class TestModuleEntry:

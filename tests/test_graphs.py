@@ -1,4 +1,5 @@
 import io
+import pickle
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -57,6 +58,23 @@ class TestGraphType:
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(ValueError):
             g.adjacency[0, 2] = True
+
+    def test_hash_is_kept_and_equal_for_equal_graphs(self):
+        g = Graph.from_edges(5, [(0, 1), (2, 4)])
+        first = hash(g)
+        assert g._hash == first
+        assert hash(g) == first
+        assert hash(Graph(np.array(g.adjacency))) == first
+
+    def test_pickle_carries_the_adjacency_only(self):
+        # A kept hash would be stale in a process with another hash seed.
+        g = Graph.from_edges(5, [(0, 1), (2, 4)])
+        hash(g)
+        g.csr()
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy._hash is None and copy._csr is None
+        assert hash(copy) == hash(g)
+        assert not copy.adjacency.flags.writeable
 
     def test_edge_count_and_edges_sorted(self):
         g = Graph.from_edges(4, [(2, 3), (0, 1), (1, 0)])

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -281,16 +281,121 @@ def with_offsets(matrix, rng):
 def test_sort_duals_feasible_on_monge_scores():
     """On scores that are rank one plus offsets, sorted by the factors they
     are a Monge matrix, and the closed-form duals are feasible (reduced costs
-    nonnegative to rounding) and tight on the sort matching."""
+    nonnegative to rounding) and tight on the sort matching: there the costs,
+    formed as the solver's are, (v - s) + u, are exactly 0, which the sort
+    matching's certificate rests on."""
     rng = np.random.default_rng(61)
     n = 60
     scores = with_offsets(np.outer(rng.standard_normal(n), rng.standard_normal(n)), rng)
-    u, v = rounding._sort_duals(scores, scores.sum(axis=0) / n)
-    cost = u[:, None] + v - scores
+    u, v, r, c = rounding._sort_duals(scores, scores.sum(axis=0) / n)
+    assert sorted(r.tolist()) == sorted(c.tolist()) == list(range(n))
+    cost = np.subtract(v, scores)
+    cost += u[:, None]
     assert cost.min() >= -1e-9
+    assert not cost[r, c].any()
     # Zero on the sort matching (k, k) and, by the telescoping, on (k, k-1).
     assert np.count_nonzero(np.abs(cost) <= 1e-9) == 2 * n - 1
     assert cost[np.arange(n), max_weight_matching(scores).map].sum() <= 1e-9
+
+
+def solve_path(calls, n):
+    """Which route the sort-duals branch took, from the `spy_costs` record."""
+    sizes = [cost.shape[0] for cost, _ in calls]
+    if not sizes:
+        return "certified"
+    return "full" if sizes == [n] else "repaired"
+
+
+# Sparse planted pairs, whose sorted scores are Monge up to rounding:
+# match-sparse's instance on 40 seeds, and a sparser n = 200 draw.
+SPARSE_INSTANCES = ([(600, 0.0125, 0.001, seed) for seed in range(40)]
+                    + [(200, 0.02, 0.001, seed) for seed in range(20)])
+
+
+@pytest.mark.parametrize("n, p, lam, seed", SPARSE_INSTANCES)
+def test_sort_matching_loses_no_exact_total(n, p, lam, seed, monkeypatch):
+    """On sparse pairs the sort matching is certified or repaired in
+    blocks, never solved whole, and its exact total equals the full solve's
+    and the column-reduced solve's, and is at least scipy's raw solve's."""
+    scores = eigen_scores(n, p, lam, seed)
+    calls = spy_costs(monkeypatch)
+    total = oracles.assignment_score_exact(scores, max_weight_matching(scores).map)
+    assert solve_path(calls, n) != "full"
+    u, v, _, _ = rounding._sort_duals(scores, scores.sum(axis=0) / n)
+    _, full = oracles.full_solve_on_duals(scores, u, v)
+    assert total == oracles.assignment_score_exact(scores, full)
+    _, column_reduced = linear_sum_assignment(scores.sum(axis=0) / n - scores)
+    assert total == oracles.assignment_score_exact(scores, column_reduced)
+    _, raw = linear_sum_assignment(scores, maximize=True)
+    assert total >= oracles.assignment_score_exact(scores, raw)
+
+
+@pytest.mark.parametrize("seed, path", [(1, "certified"), (2, "repaired"), (9, "repaired")])
+def test_match_sparse_seed_path(seed, path, monkeypatch):
+    """Match-sparse's seed 1 has no negative cost, so no solve runs; seeds 2
+    and 9 have 1-ulp negatives, and only small blocks are solved."""
+    scores = eigen_scores(600, 0.0125, 0.001, seed)
+    calls = spy_costs(monkeypatch)
+    max_weight_matching(scores)
+    assert solve_path(calls, 600) == path
+    assert all(cost.shape[0] <= 10 for cost, _ in calls)
+
+
+@given(st.integers(min_value=51, max_value=80), st.integers(min_value=0, max_value=2**31),
+       st.integers(min_value=1, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_block_repair_equals_full_solve(n, seed, violations):
+    """Rank-one-plus-offset scores with a few entries raised until their
+    cost is about -1 ulp of max(|u|, |v|): the sort matching is repaired in
+    blocks, and its exact cost total equals the full solve's. (The cost
+    totals are what both solves minimize; two permutations of equal cost
+    total can differ in exact score total by the costs' rounding.)"""
+    rng = np.random.default_rng(seed)
+    monge = with_offsets(np.outer(rng.standard_normal(n), rng.standard_normal(n)), rng)
+    u, v, r, c = rounding._sort_duals(monge, monge.sum(axis=0) / n)
+    cost, _ = oracles.full_solve_on_duals(monge, u, v)
+    ulp = np.spacing(max(np.abs(u).max(), np.abs(v).max()))
+    scores = monge.copy()
+    for _ in range(violations):
+        # Off the staircase (k, k), (k, k - 1), which the duals are read from.
+        k = int(rng.integers(0, n))
+        l = int(rng.choice([j for j in range(max(0, k - 4), min(n, k + 5))
+                            if j not in (k, k - 1)]))
+        i, j = r[k], c[l]
+        scores[i, j] = monge[i, j] + cost[i, j] + ulp
+    u2, v2, r2, c2 = rounding._sort_duals(scores, scores.sum(axis=0) / n)
+    assume(np.array_equal(r, r2) and np.array_equal(c, c2))
+    assert u2.tobytes() == u.tobytes() and v2.tobytes() == v.tobytes()
+    cost, full = oracles.full_solve_on_duals(scores, u, v)
+    assume(cost.min() < 0)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy_costs(patch)
+        mapping = max_weight_matching(scores).map
+    assert solve_path(calls, n) == "repaired"
+    assert (oracles.assignment_score_exact(cost, mapping)
+            == oracles.assignment_score_exact(cost, full))
+
+
+# EigenAlign scores of denser pairs, whose sorted scores are far from Monge
+# (most negative costs of 1e6-1e11 ulps).
+DENSE_INSTANCES = [(n, p, 0.05, 1) for n in (60, 100, 200) for p in (0.05, 0.2)]
+DENSE_INSTANCES.append((400, 0.2, 0.05, 1))
+
+
+@pytest.mark.parametrize("n, p, lam, seed", DENSE_INSTANCES)
+def test_dense_scores_take_the_full_solve_bit_for_bit(n, p, lam, seed, monkeypatch):
+    """Dense inputs fail the certificate and are solved whole: the costs
+    handed to the solver and the permutation are the full solve's, byte for
+    byte."""
+    scores = eigen_scores(n, p, lam, seed)
+    u, v, _, _ = rounding._sort_duals(scores, scores.sum(axis=0) / n)
+    expected_cost, expected = oracles.full_solve_on_duals(scores, u, v)
+    calls = spy_costs(monkeypatch)
+    mapping = max_weight_matching(scores).map
+    [(cost, maximize)] = calls
+    assert not maximize
+    assert cost.tobytes() == expected_cost.tobytes()
+    assert mapping.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("share, accepted", [(0.3, False), (0.9, True)])
