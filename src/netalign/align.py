@@ -18,7 +18,8 @@ Both pipelines start from the same eigenvector. Up to n = `DENSE_MAX_N`
 (every sweep cell) the last one is kept, keyed on the graphs' values and the
 eigen settings, so EigenAlign and PPA on one pair run power iteration once.
 Above the bound none is kept and `eigen_align` writes the assignment's costs
-over its own eigenvector.
+over its own eigenvector, whose sort duals it reads off the Krylov factors
+the vector was built from (`rounding`).
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def eigen_align(g1: Graph, g2: Graph, cfg: AlignConfig = AlignConfig()) -> Align
     if op.n > DENSE_MAX_N:
         # Not kept by `_spectral_start`, so no caller sees the costs.
         scores.flags.writeable = True
-        perm = _max_weight_matching(scores, out=scores)
+        perm = _max_weight_matching(scores, out=scores, factors=eig._factors)
     else:
         perm = max_weight_matching(scores)
     matched = matched_edges(g1, g2, perm)

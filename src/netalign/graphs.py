@@ -2,10 +2,12 @@
 
 Graphs are stored as a read-only boolean adjacency matrix (O(1) membership);
 `Graph(...)` is the one place adjacency input is coerced and checked. Two
-views are derived from it lazily and cached: the edge index
-(`Graph.edge_index`), the sorted flat positions i*n + j of the nonzero
-entries that `matched_edges` gathers from in O(e), and the CSR view read off
-it for the alignment operator's sparse products. All randomness flows
+views of it are cached: the edge index (`Graph.edge_index`), the sorted
+flat positions i*n + j of the nonzero entries that `matched_edges` gathers
+from in O(e), and the CSR view read off it on first use for the alignment
+operator's sparse products. A graph built from edge pairs
+(`parse_edge_list`, `Graph.from_edges`) gets its edge index from the pairs;
+any other finds it in the matrix on first use. All randomness flows
 through :class:`RngSeed`, which keys a counter-based Philox generator, so
 every stream here is bit-reproducible across runs and platforms for equal
 seeds; the draw functions reset one generator per thread (`_stream`).
@@ -135,18 +137,23 @@ class Graph:
         self._set(adj.copy())
 
     @classmethod
-    def _trusted(cls, adj: np.ndarray) -> "Graph":
+    def _trusted(cls, adj: np.ndarray, edge_index: np.ndarray | None = None) -> "Graph":
         """Wrap a fresh square boolean adjacency that is already symmetric and
-        hollow, without the checks or the copy; the array is taken over."""
+        hollow, without the checks or the copy; the array is taken over, and
+        so is `edge_index`, when given, which must be its edge index."""
         g = cls.__new__(cls)
-        g._set(adj)
+        g._set(adj, edge_index)
         return g
 
-    def _set(self, adj: np.ndarray) -> None:
+    def _set(self, adj: np.ndarray, edge_index: np.ndarray | None = None) -> None:
         adj.flags.writeable = False
         self._adj = adj
-        self._edge_count = int(np.count_nonzero(adj)) // 2
-        self._edge_index = None
+        if edge_index is None:
+            self._edge_count = int(np.count_nonzero(adj)) // 2
+        else:
+            edge_index.flags.writeable = False
+            self._edge_count = edge_index.size // 2
+        self._edge_index = edge_index
         self._csr = None
         self._hash = None
 
@@ -194,8 +201,9 @@ class Graph:
     @property
     def edge_index(self) -> np.ndarray:
         """Read-only sorted int64 flat positions i*n + j of the nonzero
-        adjacency entries (each edge twice, once per orientation); built on
-        first use and cached."""
+        adjacency entries (each edge twice, once per orientation); set from
+        the edge pairs for a graph built from them, else found on first use,
+        and cached."""
         if self._edge_index is None:
             flat = np.flatnonzero(self._adj)
             flat.flags.writeable = False
@@ -376,11 +384,16 @@ def matched_edges(g1: Graph, g2: Graph, perm: Permutation) -> int:
 
 def _edge_graph(n: int, rows, cols) -> Graph:
     """The graph on n vertices with the edges (rows[k], cols[k]), from index
-    sequences already checked in range and loop-free; repeats collapse."""
+    sequences already checked in range and loop-free; repeats collapse. Its
+    edge index is set from the pairs, not found by a pass over n² entries."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
     adj = np.zeros((n, n), dtype=bool)
     adj[rows, cols] = True
     adj[cols, rows] = True
-    return Graph._trusted(adj)
+    flat = np.concatenate((rows * n + cols, cols * n + rows))
+    flat.sort()
+    return Graph._trusted(adj, flat[np.diff(flat, prepend=-1) != 0])
 
 
 # `_parse_whole` reads only a header on line 1, then lines that are blank or

@@ -33,11 +33,17 @@ Monge inequalities, nonnegative elsewhere. x and y come from two alternating
 products with C started from s[0] - column means (four passes over the
 scores, C never formed); the costs are one n x n array, as for the column
 reduction. The private `_max_weight_matching` can write them into a given
-buffer, the scores included (EigenAlign's, above n = 50).
+buffer, the scores included. EigenAlign's scores above n = 50 are built as
+P Q^T from Krylov factors of n x K (K ~ 6 at n = 600, `spectral`), and from
+those it takes the column means, the two products, the row sums and
+||S||_F^2 in O(nK) instead of four passes; its finiteness check scans the
+factors. They round differently from the passes, but only choose the order
+and pass the guard; the duals and costs are read off the scores.
 
 Those costs, as computed, often certify the sort matching themselves, and
-then no solver runs. One pass takes their minimum, and one of three routes
-follows:
+then no solver runs. They are formed a block of rows at a time, and each
+block's minimum taken while it is still in cache; one of three routes
+follows from the minimum:
 
 - Certified (no cost negative): the sort matching r[k] -> c[k]. Its costs
   are exactly 0 in floating point, since u[r_k] = fl(d - v) and the cost is
@@ -74,7 +80,10 @@ from n = `SORT_DUALS_MIN_N` on, of two permutations with equal totals (such
 as two vertices with bit-equal score rows swapped) the solve may return the
 other one. A certified sort matching breaks ties by the stable argsorts:
 rows with equal sort keys, such as bit-equal score rows, go to their
-columns in index order.
+columns in index order. Keys from the factors are bit-equal for bit-equal
+score rows or columns (isolated or twin vertices), while a pass's matrix
+product can round one of them differently, so there EigenAlign may return
+another of the tied permutations than `max_weight_matching` of its vector.
 """
 
 from __future__ import annotations
@@ -93,14 +102,19 @@ SORT_DUALS_MIN_N = 51
 # Smallest share of the double-centred scores' squared Frobenius norm that
 # the leading singular pair must carry for the sort-matching duals.
 SORT_DUALS_MIN_SHARE = 0.5
+# Bytes of costs per block of rows in `_costs_and_minimum`, well inside L2.
+_BLOCK_BYTES = 1 << 19
 
 
-def _check_scores(scores: np.ndarray) -> np.ndarray:
+def _check_scores(scores: np.ndarray, factors=None) -> np.ndarray:
+    """The scores as a float64 array, checked square and finite; with
+    `factors` (P, Q), scores = P Q^T, only the factors are scanned."""
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
         raise ValueError(f"scores must be a non-empty square matrix, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise ValueError("scores must be finite (no NaN or infinity)")
+    for x in factors or (s,):
+        if not np.isfinite(x).all():
+            raise ValueError("scores must be finite (no NaN or infinity)")
     return s
 
 
@@ -111,25 +125,29 @@ def max_weight_matching(scores: np.ndarray) -> Permutation:
     return _max_weight_matching(scores)
 
 
-def _max_weight_matching(scores: np.ndarray, out: np.ndarray | None = None) -> Permutation:
+def _max_weight_matching(scores: np.ndarray, out: np.ndarray | None = None,
+                         factors: tuple[np.ndarray, np.ndarray] | None = None) -> Permutation:
     """`max_weight_matching`, with the costs u_i + v_j - s_ij written into
     `out` from n = `REDUCE_MIN_N` on (a fresh array when None). `out` may be
     the scores themselves: the duals are computed first, and the subtraction
-    also negates, which `maximize=True` would do on its own copy."""
-    s = _check_scores(scores)
+    also negates, which `maximize=True` would do on its own copy. `factors`
+    (P, Q), when given, are those the scores were computed from as P Q^T;
+    the sort duals then read their statistics off them (`_sort_duals`)."""
+    s = _check_scores(scores, factors)
     n = s.shape[0]
     if n < REDUCE_MIN_N:
         rows, cols = linear_sum_assignment(s, maximize=True)
     else:
-        col_mean = s.sum(axis=0) / n
-        duals = _sort_duals(s, col_mean) if n >= SORT_DUALS_MIN_N else None
+        col_mean = s.sum(axis=0) / n if factors is None else None
+        duals = _sort_duals(s, col_mean, factors) if n >= SORT_DUALS_MIN_N else None
         if duals is None:
+            if col_mean is None:  # the factors' means are not the passes' bytes
+                col_mean = s.sum(axis=0) / n
             cost = np.subtract(col_mean, s, out=out)
         else:
             u, v, r, c = duals
-            cost = np.subtract(v, s, out=out)
-            cost += u[:, None]
-            mapping = _certified_sort_matching(cost, u, v, r, c)
+            cost, low = _costs_and_minimum(s, u, v, out)
+            mapping = _certified_sort_matching(cost, low, u, v, r, c)
             if mapping is not None:
                 return Permutation._trusted(mapping)
         rows, cols = linear_sum_assignment(cost)
@@ -138,16 +156,33 @@ def _max_weight_matching(scores: np.ndarray, out: np.ndarray | None = None) -> P
     return Permutation._trusted(mapping)
 
 
-def _certified_sort_matching(cost: np.ndarray, u: np.ndarray, v: np.ndarray,
+def _costs_and_minimum(s: np.ndarray, u: np.ndarray, v: np.ndarray,
+                       out: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """The costs (v_j - s_ij) + u_i, into `out` (fresh when None), and their
+    minimum, a block of rows at a time so that each block is still in cache
+    when its minimum is read."""
+    n = s.shape[0]
+    cost = np.empty_like(s) if out is None else out
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    low = np.inf
+    for first in range(0, n, rows):
+        block = cost[first:first + rows]
+        np.subtract(v, s[first:first + rows], out=block)
+        block += u[first:first + rows, None]
+        low = min(low, block.min())
+    return cost, low
+
+
+def _certified_sort_matching(cost: np.ndarray, low: float, u: np.ndarray, v: np.ndarray,
                              r: np.ndarray, c: np.ndarray) -> np.ndarray | None:
     """An optimal mapping for `cost` = u_i + v_j - s_ij, which is 0 on the
-    sort matching r[k] -> c[k]: that matching when no cost is negative, that
-    matching with its blocks re-solved when the most negative cost is within
-    n ulps of max(|u|, |v|), else None (module docstring)."""
+    sort matching r[k] -> c[k] and has minimum `low`: that matching when no
+    cost is negative, that matching with its blocks re-solved when the most
+    negative cost is within n ulps of max(|u|, |v|), else None (module
+    docstring)."""
     n = cost.shape[0]
     mapping = np.empty(n, dtype=np.int64)
     mapping[r] = c
-    low = cost.min()
     if low >= 0:
         return mapping
     if not -low <= n * np.spacing(max(np.abs(u).max(), np.abs(v).max())):
@@ -173,7 +208,8 @@ def _certified_sort_matching(cost: np.ndarray, u: np.ndarray, v: np.ndarray,
     return mapping
 
 
-def _sort_duals(s: np.ndarray, col_mean: np.ndarray
+def _sort_duals(s: np.ndarray, col_mean: np.ndarray | None,
+                factors: tuple[np.ndarray, np.ndarray] | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """Duals (u, v) of the matching that pairs rows r[k] with columns c[k],
     in the order of the leading singular vectors of the double-centred scores
@@ -182,20 +218,43 @@ def _sort_duals(s: np.ndarray, col_mean: np.ndarray
 
     Two alternating products from b = s[0] - col_mean estimate the vectors
     without forming C: with b and then a centred, a = C b and b = C^T a.
-    The duals are exact when the scores, sorted by a and b, are a Monge
-    matrix (module docstring).
+    With `factors` (P, Q), s = P Q^T, the products, the row sums, the norm
+    and (when `col_mean` is None) the column means come from the factors in
+    O(nK) instead of passes over s; they round differently, but only the
+    order (r, c) and the guard read them. The duals are read off s itself,
+    and are exact when the scores, sorted by a and b, are a Monge matrix
+    (module docstring).
     """
     n = s.shape[0]
+    if factors is None:
+        def right(x):
+            return s @ x
+
+        def left(y):
+            return y @ s
+        norm2 = np.vdot(s, s)
+    else:
+        p, q = factors
+
+        def right(x):
+            return p @ (q.T @ x)
+
+        def left(y):
+            return (y @ p) @ q.T
+        # ||P Q^T||^2 = trace(P^T P Q^T Q).
+        norm2 = np.vdot(p.T @ p, q.T @ q)
+        if col_mean is None:
+            col_mean = left(np.ones(n)) / n
     b = s[0] - col_mean
     b -= b.sum() / n
-    # One pass over the scores gives S b and the row sums.
-    a, row_sums = (s @ np.column_stack((b, np.ones(n)))).T
+    # One product gives S b and the row sums.
+    a, row_sums = right(np.column_stack((b, np.ones(n)))).T
     a -= a.sum() / n
-    b = a @ s
+    b = left(a)
     b -= b.sum() / n
     # ||b||^2 / ||a||^2 is a Rayleigh quotient of C C^T, so it bounds
     # sigma_1^2 from below: the guard errs toward the fallback.
-    centred_norm2 = (np.vdot(s, s) - row_sums @ row_sums / n
+    centred_norm2 = (norm2 - row_sums @ row_sums / n
                      - n * (col_mean @ col_mean) + (row_sums.sum() / n) ** 2)
     if SORT_DUALS_MIN_SHARE * centred_norm2 * (a @ a) > b @ b:
         return None

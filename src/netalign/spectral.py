@@ -23,7 +23,9 @@ representations of the iterate, chosen from the start and from n alone:
   and the iterate difference are Frobenius quantities of C and W. An
   iteration then costs one sparse matvec per graph and Gram-Schmidt (twice)
   against the basis, O(e + n t), instead of an O(n³) `apply`.
-  V is built as an n x n matrix once, at the end. A basis stops
+  At the end V is built once as P Q2^T, with P = Q1 C of shape n x K2;
+  the result keeps P and Q2, from which EigenAlign's rounding takes its
+  row and column statistics in O(n K2) (`rounding`). A basis stops
   growing when the new direction is zero to rounding. For a regular or
   empty graph G 1 is a multiple of 1, so its basis keeps one vector, and C
   is rectangular when the two bases differ in size.
@@ -38,7 +40,7 @@ is the largest n of the reduced sweep. `align` keeps eigenvectors up to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +63,10 @@ class EigenResult:
     iterations: int
     residual: float          # ||A v - value * v||_2 for the returned vector
     converged: bool          # False when the iteration cap was hit
+    # Krylov loop only: read-only (P, Q), vector = (P Q^T).ravel() before the
+    # clamp in `_result`. Left out of == and of the repr.
+    _factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False,
+                                                           repr=False)
 
     def __eq__(self, other: object) -> bool:
         """Equal vectors (by value) and equal scalar fields."""
@@ -149,15 +155,17 @@ def _power_iteration(product, v, tol, max_iters):
     return v, value, iterations, residual, converged
 
 
-def _result(v, value, iterations, residual, converged) -> EigenResult:
+def _result(v, value, iterations, residual, converged, factors=None) -> EigenResult:
     """The result for the loop's iterate v, with roundoff negatives (only a
-    custom start leaves any) clamped to zero for downstream rounding."""
+    custom start leaves any) clamped to zero for downstream rounding, and
+    the factors v was built from, if any, made read-only."""
     # In place: v is the loop's own array, and a fresh n² array costs ~700
     # page faults at n = 600.
     vector = np.maximum(v, 0.0, out=v)
-    vector.flags.writeable = False
+    for array in (vector, *(factors or ())):
+        array.flags.writeable = False
     return EigenResult(vector=vector, value=value, iterations=iterations,
-                       residual=residual, converged=converged)
+                       residual=residual, converged=converged, _factors=factors)
 
 
 class _KrylovBasis:
@@ -225,5 +233,6 @@ def _krylov_top_eigenvector(op: AlignmentOperator, tol: float,
 
     # The start 1/n 1⊗1 is q0 q0^T: C = [[1]].
     c_flat, *stats = _power_iteration(product, np.ones(1), tol, max_iters)
-    V = bases[0].q @ coefficients(c_flat) @ bases[1].q.T
-    return _result(V.reshape(op.dim), *stats)
+    P, Q2 = bases[0].q @ coefficients(c_flat), bases[1].q
+    V = P @ Q2.T
+    return _result(V.reshape(op.dim), *stats, factors=(P, Q2))

@@ -296,8 +296,8 @@ class TestSelftest:
         # path `netalign match` takes above n = 50.
         original = align._max_weight_matching
 
-        def corrupted(s, out=None):
-            return Permutation(original(s, out).map[::-1])
+        def corrupted(*args, **kwargs):
+            return Permutation(original(*args, **kwargs).map[::-1])
 
         monkeypatch.setattr(align, "_max_weight_matching", corrupted)
         code, out, _ = run_cli(["selftest"], capsys)

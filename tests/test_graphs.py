@@ -136,6 +136,22 @@ def adjacency(draw):
     return adj | adj.T
 
 
+@st.composite
+def edge_pairs(draw):
+    """(n, pairs): loop-free vertex pairs on 1..12 vertices, some repeated
+    in the same or the other orientation."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    if n == 1:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(pair, max_size=3 * n))
+    if pairs:
+        repeats = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()),
+                                max_size=len(pairs)))
+        pairs += [(j, i) if flip else (i, j) for (i, j), flip in repeats]
+    return n, pairs
+
+
 class TestCsrView:
     @given(adjacency())
     @example(np.zeros((1, 1), dtype=bool))
@@ -171,6 +187,31 @@ class TestEdgeIndex:
         assert g.edge_index is index
         rows, cols = np.nonzero(np.triu(adj))
         assert g.edges() == list(zip(rows.tolist(), cols.tolist()))
+
+
+    @given(edge_pairs())
+    @example((1, []))
+    @example((5, []))
+    @example((3, [(0, 1), (1, 0), (0, 1), (2, 1)]))
+    @settings(max_examples=150, deadline=None)
+    def test_set_from_the_pairs(self, case):
+        # A graph built from edge pairs gets its index from them, with
+        # repeats in either orientation collapsed: by both parse routes (a
+        # comment line sends the text to the per-line loop) and from_edges.
+        n, pairs = case
+        text = f"n {n}" + "".join(f"\n{i} {j}" for i, j in pairs)
+        looped = "# a comment\n" + text
+        assert graphs._parse_whole(text) is not None and graphs._parse_whole(looped) is None
+        for g in (parse_edge_list(text), parse_edge_list(looped), Graph.from_edges(n, pairs)):
+            index = g._edge_index
+            assert index is not None and g.edge_index is index
+            assert index.dtype == np.int64 and not index.flags.writeable
+            assert np.array_equal(index, np.flatnonzero(g.adjacency))
+            assert g.edge_count == np.count_nonzero(g.adjacency) // 2
+            got, ref = g.csr(), oracles.csr_via_dense(g.adjacency)
+            for name in ("indptr", "indices", "data"):
+                mine, theirs = getattr(got, name), getattr(ref, name)
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
 
 
 class TestDrawOrder:

@@ -169,9 +169,13 @@ EIGEN_SCORE_INSTANCES += [(n, 0.2, lam, 3) for n in (60, 100, 200) for lam in (0
 EIGEN_SCORE_INSTANCES += [(600, 0.0125, 0.001, seed) for seed in (1, 2, 3, 5, 6, 4242)]
 
 
-def eigen_scores(n, p, lam, seed):
+def eigen_result(n, p, lam, seed):
     g1, g2, _ = make_instance(n, p, lam, 0, seed)
-    return top_eigenvector(build_operator(g1, g2)).vector.reshape(n, n)
+    return top_eigenvector(build_operator(g1, g2))
+
+
+def eigen_scores(n, p, lam, seed):
+    return eigen_result(n, p, lam, seed).vector.reshape(n, n)
 
 
 @pytest.mark.parametrize("n, p, lam, seed", EIGEN_SCORE_INSTANCES)
@@ -192,6 +196,78 @@ def test_reduced_path_loses_no_exact_total(n, p, lam, seed, monkeypatch):
         monkeypatch.setattr(rounding, "SORT_DUALS_MIN_N", n + 1)
         column_reduced = max_weight_matching(scores).map
         assert total == oracles.assignment_score_exact(scores, column_reduced)
+
+
+@pytest.mark.parametrize("n, p, lam, seed", [case for case in EIGEN_SCORE_INSTANCES
+                                              if case[0] >= rounding.SORT_DUALS_MIN_N])
+def test_sort_duals_from_factors_same_bytes(n, p, lam, seed):
+    """Above n = 50 the eigenvector comes with the Krylov factors it was
+    built from, scores = P Q^T. The products, norm and column means taken
+    from them round differently from passes over the scores, but give the
+    same order here, so the same (u, v, r, c) bit for bit."""
+    eig = eigen_result(n, p, lam, seed)
+    scores = eig.vector.reshape(n, n)
+    left, right = eig._factors
+    assert (left @ right.T).tobytes() == scores.tobytes()
+    from_passes = rounding._sort_duals(scores, scores.sum(axis=0) / n)
+    from_factors = rounding._sort_duals(scores, None, eig._factors)
+    for got, expected in zip(from_factors, from_passes, strict=True):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_factor_keys_tie_on_bit_equal_scores():
+    """Bit-equal score columns (here G2's isolated vertices) come from
+    bit-equal rows of Q, so their sort keys from the factors tie exactly and
+    the stable argsort keeps them in index order, as it does bit-equal rows.
+    A pass over the scores can round one such key differently (on this
+    instance one does, with OpenBLAS's SkylakeX core), so the two routes may
+    return tied permutations that differ by such a swap, with equal exact
+    totals."""
+    n = 51
+    eig = eigen_result(n, 0.05, 0.0, 1)
+    scores = eig.vector.reshape(n, n)
+    _, _, r, c = rounding._sort_duals(scores, None, eig._factors)
+    for order, lines in ((r, scores), (c, scores.T)):
+        groups = {}
+        for position, line in enumerate(order):
+            groups.setdefault(lines[line].tobytes(), []).append(position)
+        tied = [positions for positions in groups.values() if len(positions) > 1]
+        for positions in tied:
+            assert positions == list(range(positions[0], positions[-1] + 1))
+            assert np.all(np.diff(order[positions]) > 0)
+        if order is c:
+            assert tied  # six isolated vertices
+    own = rounding._max_weight_matching(np.array(scores), factors=eig._factors).map
+    passes = max_weight_matching(scores).map
+    assert (oracles.assignment_score_exact(scores, own)
+            == oracles.assignment_score_exact(scores, passes))
+
+
+def test_guard_rejection_from_factors_keeps_column_reduced_bytes(monkeypatch):
+    """When the guard rejects duals read off the factors, the column means
+    are recomputed from the scores: the costs are the column reduction's,
+    bit for bit, also written in place."""
+    n = 200
+    eig = eigen_result(n, 0.02, 0.001, 7)
+    scores = eig.vector.reshape(n, n)
+    monkeypatch.setattr(rounding, "SORT_DUALS_MIN_SHARE", 2.0)  # above any share
+    calls = spy_costs(monkeypatch)
+    s = np.array(scores)
+    rounding._max_weight_matching(s, out=s, factors=eig._factors)
+    [(cost, maximize)] = calls
+    assert cost is s and not maximize
+    assert cost.tobytes() == (scores.sum(axis=0) / n - scores).tobytes()
+
+
+def test_factors_checked_finite():
+    """With factors only the factors are scanned for NaN and infinity."""
+    eig = eigen_result(60, 0.1, 0.05, 1)
+    left, right = eig._factors
+    bad = np.array(left)
+    bad[3, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        rounding._max_weight_matching(np.array(eig.vector.reshape(60, 60)),
+                                      factors=(bad, right))
 
 
 @pytest.mark.parametrize("case", ["eigen-n24", "eigen-n25", "eigen-n50", "eigen-n51",

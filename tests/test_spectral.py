@@ -321,6 +321,12 @@ class TestEquality:
         first, second = top_eigenvector(op), top_eigenvector(op)
         assert first.vector is not second.vector
         assert first == second and not first != second
+        if n > spectral.DENSE_MAX_N:
+            # A Krylov result keeps the read-only factors of its vector,
+            # which == and the repr leave out.
+            assert all(not f.flags.writeable for f in second._factors)
+            assert "factors" not in repr(second)
+            assert first == dataclasses.replace(second, _factors=None)
 
     def test_pickle_round_trip(self):
         res = top_eigenvector(planted_operator(60, 0.2, 0.05, 711))
