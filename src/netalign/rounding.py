@@ -38,12 +38,15 @@ P Q^T from Krylov factors of n x K (K ~ 6 at n = 600, `spectral`), and from
 those it takes the column means, the two products, the row sums and
 ||S||_F^2 in O(nK) instead of four passes; its finiteness check scans the
 factors. They round differently from the passes, but only choose the order
-and pass the guard; the duals and costs are read off the scores.
+and pass the guard; the duals and costs are read off the scores. Where the
+two could choose differently among tied permutations, the passes decide:
+when the guard rejects, or when two sorted keys lie within n ulps of the
+largest (bit-equal score rows or columns, such as isolated or twin
+vertices, whose keys a pass's matrix product can round apart).
 
 Those costs, as computed, often certify the sort matching themselves, and
-then no solver runs. They are formed a block of rows at a time, and each
-block's minimum taken while it is still in cache; one of three routes
-follows from the minimum:
+then no solver runs. One pass takes their minimum, and one of three routes
+follows:
 
 - Certified (no cost negative): the sort matching r[k] -> c[k]. Its costs
   are exactly 0 in floating point, since u[r_k] = fl(d - v) and the cost is
@@ -80,10 +83,7 @@ from n = `SORT_DUALS_MIN_N` on, of two permutations with equal totals (such
 as two vertices with bit-equal score rows swapped) the solve may return the
 other one. A certified sort matching breaks ties by the stable argsorts:
 rows with equal sort keys, such as bit-equal score rows, go to their
-columns in index order. Keys from the factors are bit-equal for bit-equal
-score rows or columns (isolated or twin vertices), while a pass's matrix
-product can round one of them differently, so there EigenAlign may return
-another of the tied permutations than `max_weight_matching` of its vector.
+columns in index order.
 """
 
 from __future__ import annotations
@@ -102,8 +102,6 @@ SORT_DUALS_MIN_N = 51
 # Smallest share of the double-centred scores' squared Frobenius norm that
 # the leading singular pair must carry for the sort-matching duals.
 SORT_DUALS_MIN_SHARE = 0.5
-# Bytes of costs per block of rows in `_costs_and_minimum`, well inside L2.
-_BLOCK_BYTES = 1 << 19
 
 
 def _check_scores(scores: np.ndarray, factors=None) -> np.ndarray:
@@ -132,22 +130,25 @@ def _max_weight_matching(scores: np.ndarray, out: np.ndarray | None = None,
     the scores themselves: the duals are computed first, and the subtraction
     also negates, which `maximize=True` would do on its own copy. `factors`
     (P, Q), when given, are those the scores were computed from as P Q^T;
-    the sort duals then read their statistics off them (`_sort_duals`)."""
+    the sort duals then read their statistics off them (`_sort_duals`), and
+    when those do not settle the order, the passes over the scores do."""
     s = _check_scores(scores, factors)
     n = s.shape[0]
     if n < REDUCE_MIN_N:
         rows, cols = linear_sum_assignment(s, maximize=True)
     else:
-        col_mean = s.sum(axis=0) / n if factors is None else None
-        duals = _sort_duals(s, col_mean, factors) if n >= SORT_DUALS_MIN_N else None
+        sorted_by_duals = n >= SORT_DUALS_MIN_N
+        duals = _sort_duals(s, None, factors) if sorted_by_duals and factors else None
         if duals is None:
-            if col_mean is None:  # the factors' means are not the passes' bytes
-                col_mean = s.sum(axis=0) / n
+            col_mean = s.sum(axis=0) / n
+            duals = _sort_duals(s, col_mean) if sorted_by_duals else None
+        if duals is None:
             cost = np.subtract(col_mean, s, out=out)
         else:
             u, v, r, c = duals
-            cost, low = _costs_and_minimum(s, u, v, out)
-            mapping = _certified_sort_matching(cost, low, u, v, r, c)
+            cost = np.subtract(v, s, out=out)
+            cost += u[:, None]
+            mapping = _certified_sort_matching(cost, u, v, r, c)
             if mapping is not None:
                 return Permutation._trusted(mapping)
         rows, cols = linear_sum_assignment(cost)
@@ -156,33 +157,16 @@ def _max_weight_matching(scores: np.ndarray, out: np.ndarray | None = None,
     return Permutation._trusted(mapping)
 
 
-def _costs_and_minimum(s: np.ndarray, u: np.ndarray, v: np.ndarray,
-                       out: np.ndarray | None) -> tuple[np.ndarray, float]:
-    """The costs (v_j - s_ij) + u_i, into `out` (fresh when None), and their
-    minimum, a block of rows at a time so that each block is still in cache
-    when its minimum is read."""
-    n = s.shape[0]
-    cost = np.empty_like(s) if out is None else out
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    low = np.inf
-    for first in range(0, n, rows):
-        block = cost[first:first + rows]
-        np.subtract(v, s[first:first + rows], out=block)
-        block += u[first:first + rows, None]
-        low = min(low, block.min())
-    return cost, low
-
-
-def _certified_sort_matching(cost: np.ndarray, low: float, u: np.ndarray, v: np.ndarray,
+def _certified_sort_matching(cost: np.ndarray, u: np.ndarray, v: np.ndarray,
                              r: np.ndarray, c: np.ndarray) -> np.ndarray | None:
     """An optimal mapping for `cost` = u_i + v_j - s_ij, which is 0 on the
-    sort matching r[k] -> c[k] and has minimum `low`: that matching when no
-    cost is negative, that matching with its blocks re-solved when the most
-    negative cost is within n ulps of max(|u|, |v|), else None (module
-    docstring)."""
+    sort matching r[k] -> c[k]: that matching when no cost is negative, that
+    matching with its blocks re-solved when the most negative cost is within
+    n ulps of max(|u|, |v|), else None (module docstring)."""
     n = cost.shape[0]
     mapping = np.empty(n, dtype=np.int64)
     mapping[r] = c
+    low = cost.min()
     if low >= 0:
         return mapping
     if not -low <= n * np.spacing(max(np.abs(u).max(), np.abs(v).max())):
@@ -221,9 +205,11 @@ def _sort_duals(s: np.ndarray, col_mean: np.ndarray | None,
     With `factors` (P, Q), s = P Q^T, the products, the row sums, the norm
     and (when `col_mean` is None) the column means come from the factors in
     O(nK) instead of passes over s; they round differently, but only the
-    order (r, c) and the guard read them. The duals are read off s itself,
-    and are exact when the scores, sorted by a and b, are a Monge matrix
-    (module docstring).
+    order (r, c) and the guard read them, and the result is None also when
+    two sorted keys lie within n ulps of the largest, where passes could
+    order them otherwise. The duals are read off s itself, and are exact
+    when the scores, sorted by a and b, are a Monge matrix (module
+    docstring).
     """
     n = s.shape[0]
     if factors is None:
@@ -260,6 +246,11 @@ def _sort_duals(s: np.ndarray, col_mean: np.ndarray | None,
         return None
     r = np.argsort(a, kind="stable")
     c = np.argsort(b, kind="stable")
+    if factors is not None:
+        # Keys of bit-equal lines: the passes may round them apart.
+        for keys, order in ((a, r), (b, c)):
+            if np.diff(keys[order]).min() <= n * np.spacing(np.abs(keys).max()):
+                return None
     diagonal = s[r, c]
     # v[c_k] = sum over 0 < m <= k of s[r_m, c_m] - s[r_m, c_(m-1)], and
     # u[r_k] = s[r_k, c_k] - v[c_k]: the sort matching's costs are zero.

@@ -17,6 +17,7 @@ from netalign.rounding import greedy_round, max_weight_matching
 from netalign.spectral import DENSE_MAX_N, top_eigenvector
 
 import oracles
+from blas_core import openblas_core
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -368,16 +369,18 @@ class TestSharedSpectralStart:
 
 class TestEigenAlignRoundsInPlace:
     """Above `DENSE_MAX_N` eigen_align writes the assignment's costs over its
-    own eigenvector, whose sort duals it reads off the Krylov factors: on
-    these instances the answer of rounding the read-only vector by passes
-    over it, bit for bit, with one n² float array held at a time. (Where
-    score rows or columns are bit-equal the two may break a tie differently;
-    `test_rounding.py::test_factor_keys_tie_on_bit_equal_scores`.)"""
+    own eigenvector, whose sort duals it reads off the Krylov factors, or
+    off passes over the vector where the factors' keys nearly tie (bit-equal
+    score rows or columns, many at n = 200, p = 0.02, and the n = 51-57
+    cases): the answer of rounding the read-only vector by passes over it,
+    bit for bit, with one n² float array held at a time."""
 
     @pytest.mark.parametrize("n, p, lam, seed",
                              [(600, 0.0125, 0.001, seed) for seed in (*range(40), 4242)]
                              + [(200, 0.02, 0.001, seed) for seed in range(20)]
-                             + [(51, 0.1, 0.05, 1), (60, 0.1, 0.05, 1), (200, 0.05, 0.02, 1)])
+                             + [(51, 0.1, 0.05, 1), (60, 0.1, 0.05, 1), (200, 0.05, 0.02, 1)]
+                             + [(51, 0.05, 0.0, 1), (51, 0.05, 0.01, 3), (53, 0.05, 0.0, 1),
+                                (55, 0.05, 0.05, 3), (57, 0.05, 0.0, 3)])
     def test_same_bytes_as_rounding_the_read_only_vector(self, n, p, lam, seed):
         g1, g2, _ = make_instance(n, p, lam, 0, seed)
         op = build_operator(g1, g2)
@@ -387,7 +390,9 @@ class TestEigenAlignRoundsInPlace:
         perm = max_weight_matching(eig.vector.reshape(n, n))
         matched = matched_edges(g1, g2, perm)
         result = eigen_align(g1, g2)
-        assert result.permutation == perm
+        # Where score lines are bit-equal, the pick among tied permutations
+        # follows the rounding of matrix products: a failure names the core.
+        assert result.permutation == perm, f"run on OpenBLAS core {openblas_core()}"
         assert result.matched_edges == matched
         assert (np.float64(result.objective).tobytes()
                 == np.float64(op.matched_objective(matched)).tobytes())
