@@ -17,9 +17,10 @@ objective, trajectory) is exactly what the capped loop would report, and
 Both pipelines start from the same eigenvector. Up to n = `DENSE_MAX_N`
 (every sweep cell) the last one is kept, keyed on the graphs' values and the
 eigen settings, so EigenAlign and PPA on one pair run power iteration once.
-Above the bound none is kept and `eigen_align` writes the assignment's costs
-over its own eigenvector, whose sort duals it reads off the Krylov factors
-the vector was built from (`rounding`).
+Above the bound none is kept, and `eigen_align` rounds its own eigenvector in
+place: the assignment overwrites it (with the scores less the column duals,
+and with the costs when it solves the whole matrix) and reads the sort duals
+off the Krylov factors the vector was built from (`rounding`).
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def eigen_align(g1: Graph, g2: Graph, cfg: AlignConfig = AlignConfig()) -> Align
     op, eig = _spectral_start(g1, g2, cfg)
     scores = eig.vector.reshape(op.n, op.n)
     if op.n > DENSE_MAX_N:
-        # Not kept by `_spectral_start`, so no caller sees the costs.
+        # Not kept by `_spectral_start`, so no caller sees what the
+        # rounding writes over it.
         scores.flags.writeable = True
         perm = _max_weight_matching(scores, out=scores, factors=eig._factors)
     else:

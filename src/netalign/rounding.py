@@ -31,41 +31,55 @@ k -> k is optimal with closed-form LP duals (Burkard, Klinz & Rudolf 1996):
 The reduced costs are zero on the sort matching and, by telescoping the
 Monge inequalities, nonnegative elsewhere. x and y come from two alternating
 products with C started from s[0] - column means (four passes over the
-scores, C never formed); the costs are one n x n array, as for the column
-reduction. The private `_max_weight_matching` can write them into a given
-buffer, the scores included. EigenAlign's scores above n = 50 are built as
-P Q^T from Krylov factors of n x K (K ~ 6 at n = 600, `spectral`), and from
-those it takes the column means, the two products, the row sums and
-||S||_F^2 in O(nK) instead of four passes; its finiteness check scans the
-factors. They round differently from the passes, but only choose the order
-and pass the guard; the duals and costs are read off the scores. Where the
-two could choose differently among tied permutations, the passes decide:
+scores, C never formed). The private `_max_weight_matching` can write the
+n x n array it rounds into a given buffer, the scores included.
+EigenAlign's scores above n = 50 are built as P Q^T from Krylov factors of
+n x K (K ~ 6 at n = 600, `spectral`), and from those it takes the column
+means, the two products, the row sums and ||S||_F^2 in O(nK) instead of
+four passes; its finiteness check scans the factors. They round differently
+from the passes, but only choose the order and pass the guard; the duals
+are read off the scores. Where the two could choose differently among tied
+permutations, the passes decide:
 when the guard rejects, or when two sorted keys lie within n ulps of the
 largest (bit-equal score rows or columns, such as isolated or twin
 vertices, whose keys a pass's matrix product can round apart).
 
-Those costs, as computed, often certify the sort matching themselves, and
-then no solver runs. One pass takes their minimum, and one of three routes
-follows:
+The costs are read off one n x n pass, t = fl(s - v) (row by row, v the
+same for every row). The reduced scores g_ij = fl(t_ij - u_i) are the costs
+fl(fl(v_j - s_ij) + u_i) negated bit for bit, since rounding is symmetric.
+x -> fl(x - u_i) is monotone, so the largest g is fl(max_j t_ij - u_i),
+taken over the rows: a row-maximum pass over t, and none that forms g.
+(numpy's subtraction of u down the rows, one short call per row, is its
+slowest pass over the scores. BLAS rank-one updates (dger) would form g as
+fast as one pass, but they wake scipy's OpenBLAS thread pool beside
+numpy's, which with default threads tripled `eigen_align`'s time on a
+2-CPU host.) g often certifies the sort matching itself, and then no
+solver runs. One of three routes follows:
 
-- Certified (no cost negative): the sort matching r[k] -> c[k]. Its costs
-  are exactly 0 in floating point, since u[r_k] = fl(d - v) and the cost is
-  fl(fl(v - d) + u[r_k]) with fl(v - d) = -fl(d - v). So it attains the
-  lower bound 0 of every permutation's total on the very matrix a solver
-  would get (LP duality).
-- Repaired (the most negative cost is at most n ulps of max(|u|, |v|), the
-  rounding of the cumulative sum behind v): with m the number of negative
-  costs, capped at n, a permutation's negative costs sum to at least
-  -delta = -m |min|, so one below total 0 takes only costs below delta. It
-  differs from the sort matching by cycles; in sorted positions a cycle
-  maps rows k to columns l. The staircase (k, k), (k, k - 1) never steps up
-  (l > k), so a cycle's steps up are costs <= delta off it, and their spans
-  [k, l] cover the cycle's span. Merged, the spans of all such costs make
-  blocks that hold every cycle; a solve of each block's submatrix, the rest
-  left on the sort matching, is optimal. On match-sparse's n = 600 pairs
-  the blocks are 2-5 wide.
+- Certified (no g positive, so no cost negative): the sort matching
+  r[k] -> c[k]. Its reduced scores are exactly 0 in floating point, since
+  u[r_k] = fl(d - v) and g = fl(fl(d - v) - u[r_k]). So it attains the
+  lower bound 0 of every permutation's cost total on the very matrix a
+  solver would get (LP duality).
+- Repaired (the largest g, the most negative cost, is at most n ulps of
+  max(|u|, |v|), the rounding of the cumulative sum behind v): with m the
+  number of positive g, capped at n, a permutation's negative costs sum to
+  at least -delta = -m max(g), so one below total 0 takes only costs
+  <= delta, where g >= -delta. Since m <= n, one pass of t against a floor
+  per row collects every entry with g >= -n max(g), rounded up: every
+  positive g and every such entry. Their g are formed, m counted among
+  them, and they are cut to delta. A permutation differs from the sort
+  matching by cycles; in sorted positions a cycle maps rows k to columns
+  l. The staircase (k, k), (k, k - 1) never steps up (l > k), so a cycle's
+  steps up are costs <= delta off it, and their spans [k, l] cover the
+  cycle's span. Merged, the spans of all such costs make blocks that hold
+  every cycle; a solve of each block's costs, the rest left on the sort
+  matching, is optimal. On match-sparse's n = 600 pairs the blocks are 2-5
+  wide.
 - Full solve otherwise (dense pairs' scores are further from Monge, by
   1e6-1e11 ulps): one solve of the whole cost matrix.
+
+Both solves take the costs as fl(u_i - t_ij), the costs' own bytes.
 
 A guard falls back to the column reduction when the leading pair carries
 less than `SORT_DUALS_MIN_SHARE` (half) of ||C||_F^2; far from rank one the
@@ -125,13 +139,15 @@ def max_weight_matching(scores: np.ndarray) -> Permutation:
 
 def _max_weight_matching(scores: np.ndarray, out: np.ndarray | None = None,
                          factors: tuple[np.ndarray, np.ndarray] | None = None) -> Permutation:
-    """`max_weight_matching`, with the costs u_i + v_j - s_ij written into
-    `out` from n = `REDUCE_MIN_N` on (a fresh array when None). `out` may be
-    the scores themselves: the duals are computed first, and the subtraction
-    also negates, which `maximize=True` would do on its own copy. `factors`
-    (P, Q), when given, are those the scores were computed from as P Q^T;
-    the sort duals then read their statistics off them (`_sort_duals`), and
-    when those do not settle the order, the passes over the scores do."""
+    """`max_weight_matching`, with an n x n array written into `out` from
+    n = `REDUCE_MIN_N` on (a fresh array when None): the costs
+    u_i + v_j - s_ij that are solved, or on sort-matching duals the scores
+    less v_j that certify the sort matching or repair it in blocks. `out`
+    may be the scores themselves: the duals are computed first.
+    `factors` (P, Q), when given, are those the scores were computed from as
+    P Q^T; the sort duals then read their statistics off them
+    (`_sort_duals`), and when those do not settle the order, the passes
+    over the scores do."""
     s = _check_scores(scores, factors)
     n = s.shape[0]
     if n < REDUCE_MIN_N:
@@ -146,34 +162,43 @@ def _max_weight_matching(scores: np.ndarray, out: np.ndarray | None = None,
             cost = np.subtract(col_mean, s, out=out)
         else:
             u, v, r, c = duals
-            cost = np.subtract(v, s, out=out)
-            cost += u[:, None]
-            mapping = _certified_sort_matching(cost, u, v, r, c)
+            t = np.subtract(s, v, out=out)
+            mapping = _certified_sort_matching(t, u, v, r, c)
             if mapping is not None:
                 return Permutation._trusted(mapping)
+            cost = np.subtract(u[:, None], t, out=t)
         rows, cols = linear_sum_assignment(cost)
     mapping = np.empty(n, dtype=np.int64)
     mapping[rows] = cols
     return Permutation._trusted(mapping)
 
 
-def _certified_sort_matching(cost: np.ndarray, u: np.ndarray, v: np.ndarray,
+def _certified_sort_matching(t: np.ndarray, u: np.ndarray, v: np.ndarray,
                              r: np.ndarray, c: np.ndarray) -> np.ndarray | None:
-    """An optimal mapping for `cost` = u_i + v_j - s_ij, which is 0 on the
-    sort matching r[k] -> c[k]: that matching when no cost is negative, that
-    matching with its blocks re-solved when the most negative cost is within
-    n ulps of max(|u|, |v|), else None (module docstring)."""
-    n = cost.shape[0]
+    """An optimal mapping for the costs u_i - t_ij, t = s - v, whose reduced
+    scores g = t - u are 0 on the sort matching r[k] -> c[k]: that matching
+    when no g is positive, that matching with its blocks re-solved when the
+    largest g is within n ulps of max(|u|, |v|), else None (module
+    docstring)."""
+    n = t.shape[0]
     mapping = np.empty(n, dtype=np.int64)
     mapping[r] = c
-    low = cost.min()
-    if low >= 0:
+    high = np.subtract(t.max(axis=1), u).max()
+    if high <= 0:
         return mapping
-    if not -low <= n * np.spacing(max(np.abs(u).max(), np.abs(v).max())):
+    if not high <= n * np.spacing(max(np.abs(u).max(), np.abs(v).max())):
         return None
+    # One pass: fl(t - u_i) >= -bound needs t - u_i above the float below
+    # -bound, so t >= floor_i (each step rounded down). That holds every
+    # positive g and, as delta <= bound, every cost <= delta.
+    bound = np.nextafter(n * high, np.inf)
+    floor = np.nextafter(np.nextafter(-bound, -np.inf) + u, -np.inf)
+    rows, cols = np.divmod(np.flatnonzero(t >= floor[:, None]), n)
+    g = t[rows, cols] - u[rows]
     # Rounded up: a permutation below total 0 takes only costs <= delta.
-    delta = np.nextafter(min(np.count_nonzero(cost < 0), n) * -low, np.inf)
-    rows, cols = np.divmod(np.flatnonzero(cost <= delta), n)
+    delta = np.nextafter(min(np.count_nonzero(g > 0), n) * high, np.inf)
+    keep = g >= -delta
+    rows, cols = rows[keep], cols[keep]
     position = np.empty(n, dtype=np.int64)
     position[r] = np.arange(n)
     k = position[rows]
@@ -187,7 +212,8 @@ def _certified_sort_matching(cost: np.ndarray, u: np.ndarray, v: np.ndarray,
     edges = np.diff(covered.astype(np.int8), prepend=0)
     for first, last in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
         block_rows, block_cols = r[first:last + 1], c[first:last + 1]
-        sub_rows, sub_cols = linear_sum_assignment(cost[np.ix_(block_rows, block_cols)])
+        block = np.subtract(u[block_rows, None], t[np.ix_(block_rows, block_cols)])
+        sub_rows, sub_cols = linear_sum_assignment(block)
         mapping[block_rows[sub_rows]] = block_cols[sub_cols]
     return mapping
 

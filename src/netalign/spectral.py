@@ -58,13 +58,16 @@ DENSE_MAX_N = 50
 
 @dataclass(frozen=True)
 class EigenResult:
-    vector: np.ndarray       # unit-norm, entrywise nonnegative, read-only
+    # Unit-norm and read-only; entrywise positive from the uniform start (a
+    # positive operator's products of positive vectors), and from a custom
+    # start with roundoff negatives clamped to zero.
+    vector: np.ndarray
     value: float             # Rayleigh quotient v^T A v
     iterations: int
     residual: float          # ||A v - value * v||_2 for the returned vector
     converged: bool          # False when the iteration cap was hit
-    # Krylov loop only: read-only (P, Q), vector = (P Q^T).ravel() before the
-    # clamp in `_result`. Left out of == and of the repr.
+    # Krylov loop only: read-only (P, Q), vector = (P Q^T).ravel(). Left out
+    # of == and of the repr.
     _factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False,
                                                            repr=False)
 
@@ -114,7 +117,13 @@ def top_eigenvector(op: AlignmentOperator,
             raise ValueError("start vector must have nonzero finite norm")
         v = v / norm
     product = op._product()
-    return _result(*_power_iteration(lambda x: (x, product(x)), v, tol, max_iters))
+    v, *stats = _power_iteration(lambda x: (x, product(x)), v, tol, max_iters)
+    if start is not None:
+        # Only a custom start leaves roundoff negatives; zero them for
+        # downstream rounding. In place: v is the loop's own array, and a
+        # fresh n² array costs ~700 page faults at n = 600.
+        np.maximum(v, 0.0, out=v)
+    return _result(v, *stats)
 
 
 def _power_iteration(product, v, tol, max_iters):
@@ -156,15 +165,11 @@ def _power_iteration(product, v, tol, max_iters):
 
 
 def _result(v, value, iterations, residual, converged, factors=None) -> EigenResult:
-    """The result for the loop's iterate v, with roundoff negatives (only a
-    custom start leaves any) clamped to zero for downstream rounding, and
-    the factors v was built from, if any, made read-only."""
-    # In place: v is the loop's own array, and a fresh n² array costs ~700
-    # page faults at n = 600.
-    vector = np.maximum(v, 0.0, out=v)
-    for array in (vector, *(factors or ())):
+    """The result for the loop's iterate v, unclamped, with v and the
+    factors it was built from, if any, made read-only."""
+    for array in (v, *(factors or ())):
         array.flags.writeable = False
-    return EigenResult(vector=vector, value=value, iterations=iterations,
+    return EigenResult(vector=v, value=value, iterations=iterations,
                        residual=residual, converged=converged, _factors=factors)
 
 

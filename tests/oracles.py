@@ -160,6 +160,48 @@ def full_solve_on_duals(scores, u, v):
     return cost, mapping
 
 
+def two_pass_block_repair(cost, u, v, r, c):
+    """The sort matching r[k] -> c[k] repaired in blocks, by the rule
+    `rounding._certified_sort_matching` used on the costs before it took
+    its candidates in one pass: two passes over the costs, one counting the
+    m negative ones and one keeping those <= delta, with delta = m |min|
+    rounded up (m capped at n), then a solve of each block of positions
+    that the spans of the kept costs off the staircase (k, k), (k, k - 1)
+    cover, one position at a time. Expects a negative minimum within n ulps
+    of max(|u|, |v|). Returns (blocks, mapping): the cost submatrices
+    solved, in order, and the repaired mapping."""
+    n = cost.shape[0]
+    low = cost.min()
+    assert 0 > low >= -n * np.spacing(max(np.abs(u).max(), np.abs(v).max()))
+    delta = np.nextafter(min(np.count_nonzero(cost < 0), n) * -low, np.inf)
+    mapping = np.empty(n, dtype=np.int64)
+    mapping[r] = c
+    position_of_row = {int(row): k for k, row in enumerate(r)}
+    position_of_col = {int(col): k for k, col in enumerate(c)}
+    covered = [False] * n
+    for i, j in zip(*np.nonzero(cost <= delta)):
+        k, l = position_of_row[int(i)], position_of_col[int(j)]
+        if l not in (k, k - 1):
+            for x in range(min(k, l), max(k, l)):
+                covered[x] = True
+    blocks = []
+    k = 0
+    while k < n:
+        if not covered[k]:
+            k += 1
+            continue
+        last = k
+        while last < n and covered[last]:
+            last += 1
+        block_rows, block_cols = r[k:last + 1], c[k:last + 1]
+        block = cost[np.ix_(block_rows, block_cols)]
+        sub_rows, sub_cols = linear_sum_assignment(block)
+        mapping[block_rows[sub_rows]] = block_cols[sub_cols]
+        blocks.append(block)
+        k = last + 1
+    return blocks, mapping
+
+
 def csr_via_dense(adj):
     """Float64 CSR view built through a dense float copy and scipy's COO path."""
     return sp.csr_array(adj.astype(np.float64))

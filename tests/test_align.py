@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import netalign.align as align
+import netalign.rounding as rounding
 from netalign.align import (AlignConfig, build_operator, eigen_align,
                             projected_power_align)
 from netalign.estimators import EigenAlign, ProjectedPowerAlignment
@@ -357,7 +359,7 @@ class TestSharedSpectralStart:
     @pytest.mark.parametrize("first, second", [(eigen_align, projected_power_align),
                                                (projected_power_align, eigen_align)])
     def test_not_kept_above_the_dense_bound(self, eigen_calls, first, second):
-        # Above the bound eigen_align writes its costs over its eigenvector,
+        # Above the bound eigen_align rounds over its own eigenvector,
         # so in neither order may one matcher take the other's.
         g1, g2 = fresh_pair(n=60, lam=0.05)
         assert g1.n > DENSE_MAX_N
@@ -368,8 +370,8 @@ class TestSharedSpectralStart:
 
 
 class TestEigenAlignRoundsInPlace:
-    """Above `DENSE_MAX_N` eigen_align writes the assignment's costs over its
-    own eigenvector, whose sort duals it reads off the Krylov factors, or
+    """Above `DENSE_MAX_N` eigen_align's assignment writes over its own
+    eigenvector, whose sort duals it reads off the Krylov factors, or
     off passes over the vector where the factors' keys nearly tie (bit-equal
     score rows or columns, many at n = 200, p = 0.02, and the n = 51-57
     cases): the answer of rounding the read-only vector by passes over it,
@@ -398,17 +400,29 @@ class TestEigenAlignRoundsInPlace:
                 == np.float64(op.matched_objective(matched)).tobytes())
         assert eig.vector.tobytes() == vector
 
-    @pytest.mark.parametrize("n, p", [(200, 0.05), (600, 0.0125)])
-    def test_peak_memory_one_float_array(self, n, p):
-        g1, g2 = fresh_pair(n=n, lam=0.001, p=p)
+    @pytest.mark.parametrize("n, p, seed, path", [(200, 0.05, 5, "full"),
+                                                  (600, 0.0125, 5, "repaired"),
+                                                  (600, 0.0125, 1, "certified")])
+    def test_peak_memory_one_float_array(self, n, p, seed, path, monkeypatch):
+        # On every route the scores less v, and on the full solve the costs,
+        # are written over the eigenvector.
+        g1, g2 = fresh_pair(n=n, lam=0.001, seed=seed, p=p)
         for g in (g1, g2):
             g.edge_index, g.csr()
+        solved = []
+
+        def spy(cost, maximize=False):
+            solved.append(cost.shape[0])
+            return linear_sum_assignment(cost, maximize=maximize)
+
+        monkeypatch.setattr(rounding, "linear_sum_assignment", spy)
         tracemalloc.start()
         try:
             eigen_align(g1, g2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert path == ("certified" if not solved else "full" if solved == [n] else "repaired")
         # The eigenvector is 8 n² bytes; a separate cost matrix would double it.
         assert peak < 1.5 * 8 * n * n
 

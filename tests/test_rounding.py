@@ -1,4 +1,9 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,6 +419,25 @@ def test_match_sparse_seed_path(seed, path, monkeypatch):
     assert all(cost.shape[0] <= 10 for cost, _ in calls)
 
 
+@pytest.mark.parametrize("seed", [2, 5, 8, 9])
+def test_one_pass_repair_keeps_the_two_pass_blocks(seed, monkeypatch):
+    """The repair takes its candidates in one pass over the scores less v,
+    against a floor per row. On match-sparse's repaired seeds it solves the
+    same blocks, with the same cost bytes, and returns the same mapping as
+    the earlier rule's two passes over the costs (oracle)."""
+    n = 600
+    scores = eigen_scores(n, 0.0125, 0.001, seed)
+    u, v, r, c = rounding._sort_duals(scores, scores.sum(axis=0) / n)
+    cost = np.subtract(v, scores)
+    cost += u[:, None]
+    blocks, expected = oracles.two_pass_block_repair(cost, u, v, r, c)
+    calls = spy_costs(monkeypatch)
+    mapping = max_weight_matching(scores).map
+    assert solve_path(calls, n) == "repaired"
+    assert [block.tobytes() for block in blocks] == [got.tobytes() for got, _ in calls]
+    assert mapping.tobytes() == expected.tobytes()
+
+
 @given(st.integers(min_value=51, max_value=80), st.integers(min_value=0, max_value=2**31),
        st.integers(min_value=1, max_value=5))
 @settings(max_examples=60, deadline=None)
@@ -447,6 +471,56 @@ def test_block_repair_equals_full_solve(n, seed, violations):
     assert solve_path(calls, n) == "repaired"
     assert (oracles.assignment_score_exact(cost, mapping)
             == oracles.assignment_score_exact(cost, full))
+
+
+# Rounds two seeded n = 80 score matrices on sort-matching duals into a
+# buffer, checks the buffer against numpy's formulas and prints its route,
+# its hash and the mapping, with the OpenBLAS core it ran on.
+WRITTEN_ARRAYS_SCRIPT = """
+import hashlib, json
+import numpy as np
+from netalign import rounding
+from blas_core import openblas_core
+rng = np.random.default_rng(63)
+n = 80
+x, y = rng.standard_normal(n), rng.standard_normal(n)
+report = {"core": openblas_core()}
+for name, noise in (("monge", 0.0), ("noisy", 0.3)):
+    s = (np.outer(x, y) + noise * rng.standard_normal((n, n))
+         + 100.0 * rng.standard_normal((n, 1)) + 100.0 * rng.standard_normal(n))
+    u, v, _, _ = rounding._sort_duals(s, s.sum(axis=0) / n)
+    cost = np.subtract(v, s)
+    cost += u[:, None]
+    formulas = {"s - v": np.subtract(s, v).tobytes(), "(v - s) + u": cost.tobytes()}
+    out = np.empty_like(s)
+    mapping = rounding._max_weight_matching(s, out=out).map
+    [route] = [key for key, value in formulas.items() if value == out.tobytes()]
+    report[name] = [route, hashlib.sha256(out.tobytes()).hexdigest(), mapping.tolist()]
+print(json.dumps(report))
+"""
+
+
+def test_written_arrays_independent_of_the_blas_core():
+    """The scores less v and the full solve's costs come from numpy's
+    elementwise subtractions, which round each entry once on any kernel: on
+    OpenBLAS's Prescott core they are the default core's bytes, and equal
+    numpy's s - v and (v - s) + u."""
+    tests = Path(__file__).resolve().parent
+    paths = [str(tests.parent / "src"), str(tests)]
+    reports = []
+    for core in (None, "Prescott"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(paths)
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        result = subprocess.run([sys.executable, "-c", WRITTEN_ARRAYS_SCRIPT],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        reports.append(json.loads(result.stdout))
+    default, prescott = reports
+    assert default["monge"][0] == "s - v" and default["noisy"][0] == "(v - s) + u"
+    cores = default.pop("core"), prescott.pop("core")
+    assert default == prescott, f"cores {cores}"
 
 
 # EigenAlign scores of denser pairs, whose sorted scores are far from Monge

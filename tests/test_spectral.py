@@ -4,8 +4,10 @@ import pickle
 import numpy as np
 import pytest
 
+from netalign.align import build_operator
 from netalign.graphs import (Graph, RngSeed, apply_noise, generate_er, permute,
                              random_permutation)
+from netalign.harness import make_instance
 from netalign.operator import (AlignmentOperator, DegenerateBalanceError,
                                compute_alpha, dense_alignment_matrix, make_params)
 from netalign import spectral
@@ -106,6 +108,19 @@ class TestIterationContract:
         res = top_eigenvector(op)
         assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-12)
         assert (res.vector >= 0).all()
+
+    @pytest.mark.parametrize("n, p, lam, seed",
+                             [(10, 0.2, 0.1, 3), (30, 0.2, 0.3, 7), (50, 0.2, 0.0, 3),
+                              (51, 0.05, 0.0, 1), (60, 0.2, 0.1, 3), (100, 0.05, 0.05, 1),
+                              (200, 0.02, 0.001, 7), (200, 0.2, 0.5, 3), (400, 0.2, 0.05, 1)]
+                             + [(600, 0.0125, 0.001, seed) for seed in (1, 2, 5)])
+    def test_uniform_start_vector_positive(self, n, p, lam, seed):
+        # Only a custom start's vector is clamped: from the uniform start every
+        # entry is positive, on the `apply` loop and on the Krylov loop.
+        g1, g2, _ = make_instance(n, p, lam, 0, seed)
+        res = top_eigenvector(build_operator(g1, g2))
+        assert (res._factors is None) == (n <= spectral.DENSE_MAX_N)
+        assert res.vector.min() > 0
 
     def test_negatives_clamped_in_a_read_only_vector(self):
         # One step from a start whose image has negative entries: the clamp
