@@ -1,16 +1,23 @@
 """Simple undirected graphs, permutations, and seeded random generators.
 
 Graphs are stored as a read-only boolean adjacency matrix (O(1) membership);
-`Graph(...)` is the one place adjacency input is coerced and checked. Two
-views of it are cached: the edge index (`Graph.edge_index`), the sorted
-flat positions i*n + j of the nonzero entries that `matched_edges` gathers
-from in O(e), and the CSR view read off it on first use for the alignment
-operator's sparse products. A graph built from edge pairs
-(`parse_edge_list`, `Graph.from_edges`) gets its edge index from the pairs;
-any other finds it in the matrix on first use. All randomness flows
-through :class:`RngSeed`, which keys a counter-based Philox generator, so
-every stream here is bit-reproducible across runs and platforms for equal
-seeds; the draw functions reset one generator per thread (`_stream`).
+`Graph(...)` is the one place adjacency input is coerced and checked. Views
+of it are cached. The edge index (`Graph.edge_index`) holds the sorted flat
+positions i*n + j of the nonzero entries. A graph built from edge pairs
+(`parse_edge_list`, `Graph.from_edges`) gets it from the pairs; any other
+finds it in the matrix on first use. The sparse view is read off the edge
+index on first use, with no n² pass, and cached: the float64 CSR arrays
+(row starts, column indices, ones) on which the alignment operator's
+sparse products call scipy's kernels directly, and the upper-triangle pairs
+(i < j, one per edge) that `matched_edges` gathers from in O(e). Building
+the CSR arrays sets the pairs too; `matched_edges` on a graph without them
+builds the pairs alone. `Graph.csr()` wraps the CSR arrays in a scipy
+matrix for callers that want one; nothing in the package does.
+
+All randomness flows through :class:`RngSeed`, which keys a counter-based
+Philox generator, so every stream here is bit-reproducible across runs and
+platforms for equal seeds; the draw functions reset one generator per
+thread (`_stream`).
 
 Edge-list text format, in which a comment takes a whole line and the count
 and ids are ASCII digits::
@@ -118,7 +125,7 @@ class Graph:
     share across threads.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_edge_index", "_csr", "_hash")
+    __slots__ = ("_adj", "_edge_count", "_edge_index", "_csr", "_upper", "_hash")
 
     def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency)
@@ -154,7 +161,7 @@ class Graph:
             edge_index.flags.writeable = False
             self._edge_count = edge_index.size // 2
         self._edge_index = edge_index
-        self._csr = None
+        self._csr = self._upper = None
         self._hash = None
 
     @classmethod
@@ -194,9 +201,9 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, lexicographically sorted."""
-        rows, cols = np.divmod(self.edge_index, self.n)
-        upper = rows < cols
-        return list(zip(rows[upper].tolist(), cols[upper].tolist()))
+        # Not cached, so formatting a graph keeps nothing.
+        rows, cols = _upper(*np.divmod(self.edge_index, self.n))
+        return list(zip(rows.tolist(), cols.tolist()))
 
     @property
     def edge_index(self) -> np.ndarray:
@@ -210,18 +217,34 @@ class Graph:
             self._edge_index = flat
         return self._edge_index
 
-    def csr(self) -> sp.csr_array:
-        """Float64 CSR view (sorted neighbor lists) for sparse products, built
-        on first use from `edge_index` and cached."""
+    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (indptr, indices, data) of the float64 CSR form with
+        sorted neighbor lists: int32 row starts and column indices and a
+        vector of ones, the arrays of csr_array(adjacency.astype(float64)).
+        Read off `edge_index` on first use and cached, and the upper-triangle
+        pairs with them from the same split."""
         if self._csr is None:
-            # The same arrays and dtypes as csr_array(adj.astype(float64)),
-            # read off the edge index without a dense float copy.
             n = self.n
-            flat = self.edge_index
-            indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(np.int32)
-            indices = (flat % n).astype(np.int32)
-            self._csr = sp.csr_array((np.ones(flat.size), indices, indptr), shape=(n, n))
+            rows, cols = np.divmod(self.edge_index, n)
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+            self._csr = _frozen(indptr, cols.astype(np.int32), np.ones(cols.size))
+            if self._upper is None:
+                self._upper = _upper(rows, cols)
         return self._csr
+
+    def _upper_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only int64 (rows, cols) of the edges as pairs i < j, in the
+        order of `edges`; read off `edge_index` on first use and cached."""
+        if self._upper is None:
+            self._upper = _upper(*np.divmod(self.edge_index, self.n))
+        return self._upper
+
+    def csr(self) -> sp.csr_array:
+        """Float64 CSR matrix (sorted neighbor lists) on the read-only cached
+        arrays of `_csr_arrays`, wrapped anew on each call."""
+        indptr, indices, data = self._csr_arrays()
+        return sp.csr_array((data, indices, indptr), shape=(self.n, self.n))
 
     def degree_sequence(self) -> np.ndarray:
         return self._adj.sum(axis=1).astype(np.int64)
@@ -243,6 +266,19 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`arrays`, each made read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _upper(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only entries with rows[k] < cols[k] of a split edge index."""
+    upper = (rows < cols).nonzero()[0]
+    return _frozen(rows.take(upper), cols.take(upper))
 
 
 class Permutation:
@@ -374,12 +410,14 @@ def matched_edges(g1: Graph, g2: Graph, perm: Permutation) -> int:
     """Number of unordered pairs {i,j} that are edges in g1 and map to edges in g2."""
     if g1.n != g2.n or len(perm) != g1.n:
         raise ValueError("graphs and permutation must share one vertex count")
-    # Each edge (r, c) of g1 appears in both orientations in its edge index;
-    # look up (perm(r), perm(c)) in g2's flattened adjacency and halve.
-    n = g1.n
-    rows, cols = np.divmod(g1.edge_index, n)
+    # Look up (perm(r), perm(c)) for each edge r < c of g1 in g2's flattened
+    # adjacency: two e-entry int64 temporaries, formed in place.
+    rows, cols = g1._upper_pairs()
     idx = perm.map
-    return int(np.count_nonzero(g2.adjacency.reshape(-1)[idx[rows] * n + idx[cols]])) // 2
+    flat = idx[rows]
+    flat *= g1.n
+    flat += idx[cols]
+    return int(np.count_nonzero(g2.adjacency.reshape(-1)[flat]))
 
 
 def _edge_graph(n: int, rows, cols) -> Graph:

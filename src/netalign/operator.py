@@ -30,8 +30,9 @@ a permutation has a closed form in its matched-edge count
 (`permutation_objective`, `quadratic_form`). `dense_alignment_matrix`, a
 verification oracle for small n, builds the n² x n² matrix entry by entry.
 
-Every sparse product goes through `_csr_product`, scipy's compiled CSR
-kernels called on the arrays of `Graph.csr()`.
+Every sparse product goes through `_csr_product`: scipy's compiled CSR
+kernels called on the graph's own cached CSR arrays, with no scipy matrix
+built.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .graphs import Graph, Permutation, matched_edges
@@ -120,26 +120,28 @@ def compute_alpha(g1: Graph, g2: Graph) -> float:
     return 1.0 + matches / mismatches
 
 
-def _csr_product(a: sp.csr_array, x: np.ndarray) -> np.ndarray:
-    """`a @ x` for a float64 CSR matrix and a float64 vector or matrix.
+def _csr_product(graph: Graph, x: np.ndarray) -> np.ndarray:
+    """`graph.csr() @ x` for a float64 vector or matrix x.
 
-    This bypasses the public `@` on purpose: at n <= 50 scipy's dispatch
-    (`_matmul_dispatch`, then `_matmul_vector` or `_matmul_multivector`)
-    costs more than the compiled kernel it ends in. The call below is that
-    kernel call, with the same zero-filled output and the same C-order
+    The kernel runs on the graph's cached CSR arrays, so no scipy matrix is
+    built, and scipy's dispatch (`_matmul_dispatch`, then
+    `_matmul_vector` or `_matmul_multivector`), which at n <= 50 costs more
+    than the kernel, is skipped. The call below is the kernel call that
+    dispatch ends in, with the same zero-filled output and the same C-order
     operand, so the sums run in the same order; the tests pin this function
     to the public `@` bit for bit.
     """
-    m, k = a.shape
+    n = graph.n
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.shape[0] != k:  # the kernel would read past the end of x
-        raise ValueError(f"operand has {x.shape[0]} rows, the matrix {k} columns")
+    if x.shape[0] != n:  # the kernel would read past the end of x
+        raise ValueError(f"operand has {x.shape[0]} rows, the matrix {n} columns")
+    indptr, indices, data = graph._csr_arrays()
     if x.ndim == 1:
-        out = np.zeros(m)
-        _sparsetools.csr_matvec(m, k, a.indptr, a.indices, a.data, x, out)
+        out = np.zeros(n)
+        _sparsetools.csr_matvec(n, n, indptr, indices, data, x, out)
     else:
-        out = np.zeros((m, x.shape[1]))
-        _sparsetools.csr_matvecs(m, k, x.shape[1], a.indptr, a.indices, a.data,
+        out = np.zeros((n, x.shape[1]))
+        _sparsetools.csr_matvecs(n, n, x.shape[1], indptr, indices, data,
                                  x.ravel(), out.ravel())
     return out
 
@@ -220,7 +222,7 @@ class AlignmentOperator:
         """
         if len(perm) != self.n:
             raise ValueError(f"permutation length {len(perm)} != operator size {self.n}")
-        U = self._k_quad * _csr_product(self.g1.csr(), self._dense2[perm.map])
+        U = self._k_quad * _csr_product(self.g1, self._dense2[perm.map])
         U += self._degree_term
         U += self.params.s2 * float(self.n)
         return U

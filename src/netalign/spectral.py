@@ -21,14 +21,20 @@ representations of the iterate, chosen from the start and from n alone:
   W = k H1 C H2^T + d n² C00 e0 e0^T, where H_i = Q_i'^T M_i Q_i =
   Q_i'^T G_i Q_i + c n e0 e0^T. Norms, the Rayleigh quotient, the residual
   and the iterate difference are Frobenius quantities of C and W. An
-  iteration then costs one sparse matvec per graph and Gram-Schmidt (twice)
-  against the basis, O(e + n t), instead of an O(n³) `apply`.
+  iteration then costs one sparse matvec per graph, on the graph's cached
+  CSR arrays (`operator._csr_product`), and Gram-Schmidt (twice) against
+  the basis, O(e + n t), instead of an O(n³) `apply`. Each basis grows by
+  copying into a new C-order array one column wider, so every BLAS operand
+  keeps its shape, order and strides.
   At the end V is built once as P Q2^T, with P = Q1 C of shape n x K2;
   the result keeps P and Q2, from which EigenAlign's rounding takes its
   row and column statistics in O(n K2) (`rounding`). A basis stops
   growing when the new direction is zero to rounding. For a regular or
   empty graph G 1 is a multiple of 1, so its basis keeps one vector, and C
   is rectangular when the two bases differ in size.
+
+On either representation the loop computes the exact residual and iterate
+difference only where they can decide the stop (`_power_iteration`).
 
 Both representations take the same iterates, stopping rule and iteration
 counts; their results agree to rounding (~1e-15 relative), not bit for bit.
@@ -54,6 +60,14 @@ DEFAULT_MAX_ITERS = 1000
 # From the uniform start, the `apply` loop runs up to DENSE_MAX_N vertices
 # and the Kronecker-Krylov loop above (see the module docstring).
 DENSE_MAX_N = 50
+_EPS = float(np.finfo(np.float64).eps)
+# The stop tests' slack on N-entry vectors is (N + 1) _STOP_SLACK: relative
+# to ww for the residual's square, absolute for the step's. Worst-case
+# rounding of the N-term dot products (any order, FMA or not), of the unit
+# norms, of the exact norms and of the estimates is below (4N + 14) eps.
+_STOP_SLACK = 16 * _EPS
+# Covers products that underflow (a few N times the smallest subnormal).
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -132,10 +146,20 @@ def _power_iteration(product, v, tol, max_iters):
     `product(v)` returns (v', w): w = A v, and v' the iterate v in the
     coordinates of w (v itself where they are fixed). Returns
     (v, value, iterations, residual, converged) for the returned iterate.
+
+    The residual ||w - value v|| and the step ||v_next - v|| are computed
+    exactly, as sqrt(x @ x) (the dot product and root np.linalg.norm takes,
+    without its dispatch), on the returned iterate and wherever they can end
+    the loop. Other steps rule them out from two scalars the loop needs
+    anyway, ww = w @ w and value = v @ w: as v and v_next have unit norm to
+    rounding, ||w - value v||² = ww - value² and ||v_next - v||² =
+    2 - 2 value / sqrt(ww), each up to the rounding that `_STOP_SLACK`
+    bounds. So a norm that is skipped could not have passed `< tol`, and the
+    stops, iterates and statistics are those of computing both norms on
+    every step, bit for bit.
     """
-    # w - value * v and v_next - v, each needed only for its norm sqrt(x @ x),
-    # the dot product and root np.linalg.norm takes, without its dispatch.
     scratch = np.empty(0)
+    tol2 = tol * tol
     converged = last = False
     iterations = 0
     while True:
@@ -143,25 +167,35 @@ def _power_iteration(product, v, tol, max_iters):
         if scratch.shape != w.shape:  # the Krylov coordinates grow
             scratch = np.empty_like(w)
         value = float(v @ w)
-        np.multiply(v, value, out=scratch)
-        np.subtract(w, scratch, out=scratch)
-        residual = math.sqrt(scratch @ scratch)
         if last:  # the stats of the iterate returned after a cap or a small step
+            residual = _residual(v, w, value, scratch)
             break
         iterations += 1
-        w_norm = math.sqrt(w @ w)
+        ww = float(w @ w)
+        w_norm = math.sqrt(ww)
         if w_norm == 0:
             raise ValueError("operator annihilated the iterate; cannot normalize")
         v_next = w / w_norm
-        np.subtract(v_next, v, out=scratch)
-        diff = math.sqrt(scratch @ scratch)
-        if residual < tol:
-            converged = True
-            break
+        slack = _STOP_SLACK * (w.size + 1)
+        # An estimate that is NaN rules nothing out.
+        if not ww - value * value - slack * ww - _TINY > tol2:
+            residual = _residual(v, w, value, scratch)
+            if residual < tol:
+                converged = True
+                break
+        if not 2.0 - 2.0 * value / w_norm - slack > tol2:
+            np.subtract(v_next, v, out=scratch)
+            converged = math.sqrt(scratch @ scratch) < tol
         v = v_next
-        converged = diff < tol
         last = converged or iterations == max_iters
     return v, value, iterations, residual, converged
+
+
+def _residual(v, w, value, scratch):
+    """||w - value v||, with `scratch` as the work array."""
+    np.multiply(v, value, out=scratch)
+    np.subtract(w, scratch, out=scratch)
+    return math.sqrt(scratch @ scratch)
 
 
 def _result(v, value, iterations, residual, converged, factors=None) -> EigenResult:
@@ -179,8 +213,9 @@ class _KrylovBasis:
     newest."""
 
     def __init__(self, graph: Graph):
-        self._a = graph.csr()
+        self._graph = graph
         self.q = np.full((graph.n, 1), 1.0 / math.sqrt(graph.n))
+        self._newest = self.q[:, 0]  # contiguous, unlike later columns of q
         self._gq = np.empty((graph.n, 0))
         self._closed = False
 
@@ -191,8 +226,8 @@ class _KrylovBasis:
         if self._closed:
             return
         q = self.q
-        z = _csr_product(self._a, q[:, -1])
-        self._gq = np.column_stack((self._gq, z))
+        z = _csr_product(self._graph, self._newest)
+        self._gq = _append_column(self._gq, z)
         r = z - q @ (q.T @ z)
         r -= q @ (q.T @ r)
         n = len(r)
@@ -200,10 +235,12 @@ class _KrylovBasis:
         # Each projection coefficient is an n-term sum, so a direction below
         # n eps ||z|| is indistinguishable from its rounding; n orthonormal
         # columns span R^n.
-        if norm <= n * np.finfo(np.float64).eps * math.sqrt(z @ z) or q.shape[1] == n:
+        if norm <= n * _EPS * math.sqrt(z @ z) or q.shape[1] == n:
             self._closed = True
         else:
-            self.q = np.column_stack((q, r / norm))
+            r /= norm
+            self._newest = r
+            self.q = _append_column(q, r)
 
     def projection(self, cn: float) -> np.ndarray:
         """H = Q^T (G + c J) Q_old, where Q_old is Q without the column
@@ -211,6 +248,15 @@ class _KrylovBasis:
         h = self.q.T @ self._gq
         h[0, 0] += cn
         return h
+
+
+def _append_column(a: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """np.column_stack((a, column)) for a C-order matrix and a vector: a new
+    C-order array, without column_stack's conversions."""
+    out = np.empty((a.shape[0], a.shape[1] + 1))
+    out[:, :-1] = a
+    out[:, -1] = column
+    return out
 
 
 def _krylov_top_eigenvector(op: AlignmentOperator, tol: float,

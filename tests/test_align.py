@@ -58,16 +58,18 @@ class TestPipelinesOnPath:
 
 class TestEigenAlignBuildsNoCsrAtSmallN:
     """Up to n = 50 EigenAlign runs the dense `apply` loop and counts matched
-    edges from the edge index, so neither graph builds a CSR view."""
+    edges from g1's upper-triangle pairs, so neither graph builds its CSR
+    arrays or a CSR matrix."""
 
     @pytest.mark.parametrize("n", [10, 30, 50])
     def test_no_csr_built(self, n, monkeypatch):
         g1, g2, _ = make_instance(n, 0.2, 0.1, 0, 11)
 
         def refuse(self):
-            raise AssertionError("a CSR view was built")
+            raise AssertionError("a CSR matrix was built")
         monkeypatch.setattr(Graph, "csr", refuse)
         result = eigen_align(g1, g2)
+        assert g1._csr is None and g2._csr is None
         assert result.matched_edges == oracles.count_matched_edges_loop(
             np.array(g1.adjacency), np.array(g2.adjacency), result.permutation.map)
 
@@ -408,7 +410,7 @@ class TestEigenAlignRoundsInPlace:
         # are written over the eigenvector.
         g1, g2 = fresh_pair(n=n, lam=0.001, seed=seed, p=p)
         for g in (g1, g2):
-            g.edge_index, g.csr()
+            g._csr_arrays()
         solved = []
 
         def spy(cost, maximize=False):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netalign.align import eigen_align
-from netalign import graphs
+from netalign import graphs, operator
 from netalign.graphs import (MAX_EDGE_LIST_VERTICES, Graph, Permutation, RngSeed,
                              apply_noise, format_edge_list, generate_er, matched_edges,
                              parse_edge_list, permute, random_permutation)
@@ -718,6 +718,29 @@ def build_graph(builder, n, p, seed):
     return g
 
 
+def assert_sparse_view(g, operand):
+    """g's cached CSR arrays are those of the dense conversion, and
+    `_csr_product` on them equals the public `@` bit for bit, on a column of
+    `operand` and on all of it. Its upper-triangle pairs hold each edge once
+    as i < j. A pickle of g carries its adjacency and nothing built from
+    it."""
+    arrays = g._csr_arrays()
+    assert g._csr_arrays() is arrays and not any(a.flags.writeable for a in arrays)
+    ref = oracles.csr_via_dense(g.adjacency)
+    for mine, name in zip(arrays, ("indptr", "indices", "data")):
+        theirs = getattr(ref, name)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+    for x in (operand[:, 0], operand):
+        assert operator._csr_product(g, x).tobytes() == (ref @ x).tobytes()
+    rows, cols = np.nonzero(np.triu(g.adjacency))
+    pairs = g._upper_pairs()
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in pairs)
+    assert np.array_equal(pairs[0], rows) and np.array_equal(pairs[1], cols)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g
+    assert (copy._edge_index, copy._csr, copy._upper, copy._hash) == (None,) * 4
+
+
 def match_sparse_pair(seed):
     """The match-sparse benchmark's planted pair (n = 600, p = 0.0125,
     lambda = 0.001), read back from edge-list text as `netalign match` does."""
@@ -782,6 +805,33 @@ class TestMatchedEdges:
         expected = oracles.count_matched_edges_loop(
             np.array(g1.adjacency), np.array(g2.adjacency), sigma.map)
         assert matched_edges(g1, g2, sigma) == expected
+        # The sparse view that matched_edges and the operator's products
+        # read, on every builder: g1's pairs were built alone (above), g2's
+        # with its CSR arrays.
+        assert g2._upper is None
+        operand = RngSeed(seed, 4).generator().standard_normal((n, 3))
+        for g in (g1, g2):
+            assert_sparse_view(g, operand)
+
+    def test_dense_pair_gather_allocates_under_half_a_float_matrix(self):
+        # Each edge is looked up once, from the upper-triangle pairs of the
+        # sparse view (built and cached before measuring): e-entry int64
+        # temporaries, where both orientations took 2e-entry ones (about
+        # one n x n float array here).
+        n = 400
+        g1, g2, planted = make_instance(n, 0.2, 0.05, 0, 1)
+        sigma = random_permutation(n, RngSeed(4))
+        g1._upper_pairs()
+        for perm in (planted, sigma):
+            tracemalloc.start()
+            try:
+                got = matched_edges(g1, g2, perm)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * 8 * n * n
+            assert got == oracles.count_matched_edges_loop(
+                np.array(g1.adjacency), np.array(g2.adjacency), perm.map)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_match_sparse_instance_against_double_loop_oracle(self, seed, monkeypatch):

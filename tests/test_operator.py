@@ -352,10 +352,10 @@ class TestCsrKernels:
 
         monkeypatch.setattr(operator, "_sparsetools", types.SimpleNamespace(
             csr_matvec=spy("csr_matvec"), csr_matvecs=spy("csr_matvecs")))
-        a = generate_er(9, 0.4, RngSeed(41)).csr()
+        g = generate_er(9, 0.4, RngSeed(41))
         m = RngSeed(42).generator().standard_normal((9, 9))
         for x in (m[:, 0], m[0], m.T, m[:, ::-1]):
-            assert_same_bytes(operator._csr_product(a, x), a @ x)
+            assert_same_bytes(operator._csr_product(g, x), g.csr() @ x)
         assert len(seen) == 4 * 5 and all(arr.flags.c_contiguous for arr in seen)
 
     @pytest.mark.parametrize("trial", [0, 1])

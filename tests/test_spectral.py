@@ -1,8 +1,12 @@
 import dataclasses
+import hashlib
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netalign.align import build_operator
 from netalign.graphs import (Graph, RngSeed, apply_noise, generate_er, permute,
@@ -14,6 +18,7 @@ from netalign import spectral
 from netalign.spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, top_eigenvector
 
 import oracles
+from blas_core import openblas_core
 
 
 def empty_pair_operator(n):
@@ -244,6 +249,37 @@ KRYLOV_CASES = {
 }
 
 
+def result_digest(res):
+    """sha256 over a Krylov result's vector, both factors, value,
+    iterations, residual and converged flag."""
+    h = hashlib.sha256()
+    for array in (res.vector, *res._factors):
+        h.update(np.ascontiguousarray(array).tobytes())
+    h.update(np.float64(res.value).tobytes())
+    h.update(str(res.iterations).encode())
+    h.update(np.float64(res.residual).tobytes())
+    h.update(str(res.converged).encode())
+    return h.hexdigest()
+
+
+def match_sparse_operator(seed):
+    """The operator of the match-sparse benchmark's pair (n = 600)."""
+    g1, g2, _ = make_instance(600, 0.0125, 0.001, 0, seed)
+    return build_operator(g1, g2)
+
+
+KRYLOV_PINS = {
+    "match-sparse-seed1": (lambda: match_sparse_operator(1),
+                           "e94a700b32a442c0070fa7069d6ac3dfbb1ca6a1abb315d5f87c31fb64b87796"),
+    "match-sparse-seed2": (lambda: match_sparse_operator(2),
+                           "0612518952939460f89b8fc1d656119c9c8eb5e4c91a332a48acca93eff3e5fb"),
+    "planted-n120": (KRYLOV_CASES["planted-n120"],
+                     "54f3b6dc4f1fad987bcb0f12059508f9fc113d8f8f651904ead1efd9003787e8"),
+    "cycle-and-er": (KRYLOV_CASES["cycle-and-er"],
+                     "559ddfdf2797f41a1d7d16f9038283dfabd697d6283c3b148347ca5ac1800675"),
+}
+
+
 class TestKrylovLoop:
     """Above `DENSE_MAX_N`, from the uniform start, power iteration runs in
     Kronecker-Krylov coordinates: the iterates of the `apply` loop (oracle:
@@ -271,6 +307,16 @@ class TestKrylovLoop:
         assert abs(res.residual - residual) <= 1e-13 * value
         assert np.linalg.norm(res.vector - vector) <= 1e-13  # both unit norm
         assert not res.vector.flags.writeable
+
+    @pytest.mark.parametrize("case", list(KRYLOV_PINS))
+    def test_bytes_pinned(self, case):
+        # Every float of the result, the factors included, recorded before
+        # the loop's sparse products, basis growth and stop tests were made
+        # cheaper without changing a byte. Recorded on OpenBLAS's SkylakeX
+        # core; dot products round differently on other cores.
+        build, digest = KRYLOV_PINS[case]
+        assert result_digest(top_eigenvector(build())) == digest, (
+            f"recorded on OpenBLAS core SkylakeX, run on {openblas_core()}")
 
     @pytest.mark.parametrize("fill", [False, True], ids=["empty", "complete"])
     def test_loop_chosen_from_n_alone(self, fill, monkeypatch):
@@ -325,6 +371,58 @@ class TestKrylovLoop:
         assert res.converged
         assert res.value == pytest.approx(mu, rel=1e-13)
         assert np.abs(res.vector - V.reshape(-1)).max() <= 1e-11
+
+
+class TestStopTests:
+    """The loop computes the exact residual and step only on the returned
+    iterate and where a rounding bound cannot rule out a value below tol,
+    and returns the bytes of computing both on every step (oracle)."""
+
+    @given(st.integers(min_value=1, max_value=12), st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0)),
+           st.integers(min_value=0, max_value=2**32), st.floats(min_value=-15, max_value=-2),
+           st.integers(min_value=1, max_value=50))
+    # The empty pair exits on its residual at the first step.
+    @example(4, 0.0, 0, -8, 1000)
+    # Complete graphs: the uniform start is an eigenvector to rounding, so
+    # at tol 1e-15 no bound rules out either test.
+    @example(12, 1.0, 0, -15, 50)
+    # One pair at both ends of the tolerance range.
+    @example(12, 0.3, 7, -15, 50)
+    @example(12, 0.3, 7, -2, 50)
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_as_exact_tests_on_every_step(self, n, p, seed, exponent, max_iters):
+        g1 = generate_er(n, p, RngSeed(seed, 1))
+        g2 = generate_er(n, p, RngSeed(seed, 2))
+        empty = g1.edge_count + g2.edge_count == 0
+        op = AlignmentOperator(g1, g2, make_params(1.0 if empty else compute_alpha(g1, g2)))
+        TestAgainstEarlierImplementation.check(op, 10.0 ** exponent, max_iters)
+
+    @staticmethod
+    def exact_residuals(op, tol, monkeypatch, start=None):
+        """(result, number of exact residuals the loop computed)."""
+        calls = []
+        residual = spectral._residual
+        monkeypatch.setattr(spectral, "_residual", lambda *a: calls.append(1) or residual(*a))
+        return top_eigenvector(op, tol=tol, max_iters=50, start=start), len(calls)
+
+    def test_bound_skips_early_steps(self, monkeypatch):
+        op = planted_operator(12, 0.3, 0.1, 713)
+        res, exact = self.exact_residuals(op, 1e-12, monkeypatch)
+        assert res.converged and 1 < exact < res.iterations
+
+    def test_exact_tests_on_every_step_near_the_eigenvector(self, monkeypatch):
+        # From within 1e-8 of the eigenvector no step's bound rules out the
+        # residual at tol 1e-15, so every step computes it exactly; the
+        # bytes equal those of an infinite slack, which rules out nothing.
+        op = planted_operator(12, 0.3, 0.1, 713)
+        vector = top_eigenvector(op, tol=1e-13, max_iters=5000).vector
+        start = vector + 1e-9 * np.cos(np.arange(vector.size))
+        res, exact = self.exact_residuals(op, 1e-15, monkeypatch, start=start)
+        assert res.iterations > 1
+        assert exact == res.iterations + 1  # and one for the returned iterate
+        monkeypatch.setattr(spectral, "_STOP_SLACK", math.inf)
+        everywhere = top_eigenvector(op, tol=1e-15, max_iters=50, start=start)
+        assert everywhere.vector.tobytes() == res.vector.tobytes() and everywhere == res
 
 
 class TestEquality:
