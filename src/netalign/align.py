@@ -5,8 +5,10 @@ exact maximum-weight assignment. `projected_power_align` takes the greedy
 rounding of the same eigenvector as its first iterate (the projection of A v,
 a positive multiple of v) and then alternates operator multiplication with
 the greedy projection onto permutations until it reaches a fixed point or the
-iteration cap; with `return_best` it reports the best-scoring permutation
-seen.
+iteration cap; with `return_best` it reports the first iterate with the most
+matched edges. Both score a permutation by the closed form of y^T A y in its
+matched edges (`AlignmentOperator.matched_objective`), which rises strictly
+with them.
 
 The projected step is a deterministic map on permutations, so once an iterate
 repeats an earlier one the rest of the run is a known cycle. PPA then stops
@@ -33,11 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph, Permutation, matched_edges
-from .operator import (AlignmentOperator, compute_alpha, make_params,
-                       permutation_vector, DEFAULT_EPSILON)
+from .operator import (AlignmentOperator, compute_alpha, make_params, quadratic_form,
+                       DEFAULT_EPSILON)
 from .rounding import _max_weight_matching, greedy_round, max_weight_matching
 from .spectral import (DEFAULT_MAX_ITERS, DEFAULT_TOL, DENSE_MAX_N, EigenResult,
-                       top_eigenvector)
+                       _is_number, top_eigenvector)
 
 __all__ = ["AlignConfig", "AlignmentResult", "eigen_align", "projected_power_align"]
 
@@ -69,23 +71,18 @@ class AlignConfig:
             raise ValueError(f"return_best must be a bool, got {self.return_best!r}")
 
 
-def _is_number(value, kind: type) -> bool:
-    """`value` is an instance of the numeric ABC `kind` and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
-
-
 @dataclass
 class AlignmentResult:
     permutation: Permutation
-    objective: float          # y^T A y of the reported permutation
+    objective: float          # y^T A y of `permutation`, closed form in `matched_edges`
     matched_edges: int
     iterations: int
     converged: bool
     trajectory: np.ndarray | None = field(default=None, compare=False)
     """Per-iterate log of the projected-power pipeline, a read-only
-    structured array with fields `objective` (y^T A y of the iterate) and
-    `changed` (vertices reassigned vs the previous iterate); left out of
-    `==`."""
+    structured array with fields `objective` (y^T A y of the iterate, closed
+    form in its matched edges) and `changed` (vertices reassigned vs the
+    previous iterate); left out of `==`."""
 
 
 def build_operator(g1: Graph, g2: Graph, epsilon: float = DEFAULT_EPSILON) -> AlignmentOperator:
@@ -111,6 +108,16 @@ def _spectral_start(g1: Graph, g2: Graph,
     return start(g1, g2, cfg.epsilon, cfg.eigen_tol, cfg.eigen_max_iters)
 
 
+def _result(op: AlignmentOperator, perm: Permutation, iterations: int, converged: bool,
+            trajectory: np.ndarray | None = None) -> AlignmentResult:
+    """Both matchers' result for `perm`: its matched edges, counted once,
+    and their closed-form objective."""
+    matched = matched_edges(op.g1, op.g2, perm)
+    return AlignmentResult(permutation=perm, objective=op.matched_objective(matched),
+                           matched_edges=matched, iterations=iterations,
+                           converged=converged, trajectory=trajectory)
+
+
 def eigen_align(g1: Graph, g2: Graph, cfg: AlignConfig = AlignConfig()) -> AlignmentResult:
     """Dominant eigenvector of the scoring operator, rounded by exact assignment."""
     op, eig = _spectral_start(g1, g2, cfg)
@@ -122,14 +129,7 @@ def eigen_align(g1: Graph, g2: Graph, cfg: AlignConfig = AlignConfig()) -> Align
         perm = _max_weight_matching(scores, out=scores, factors=eig._factors)
     else:
         perm = max_weight_matching(scores)
-    matched = matched_edges(g1, g2, perm)
-    return AlignmentResult(
-        permutation=perm,
-        objective=op.matched_objective(matched),
-        matched_edges=matched,
-        iterations=eig.iterations,
-        converged=eig.converged,
-    )
+    return _result(op, perm, eig.iterations, eig.converged)
 
 
 def projected_power_align(g1: Graph, g2: Graph,
@@ -151,8 +151,7 @@ def projected_power_align(g1: Graph, g2: Graph,
     n = op.n
 
     def step(perm: Permutation) -> tuple[np.ndarray, float]:
-        w = op.permutation_product(perm)
-        return w, float(permutation_vector(n, perm) @ w.reshape(-1))
+        return op.permutation_product(perm), quadratic_form(op, perm)
 
     cap = cfg.ppa_max_iters
     current = greedy_round(eig.vector.reshape(n, n))
@@ -194,15 +193,5 @@ def projected_power_align(g1: Graph, g2: Graph,
 
     log = np.array(trajectory, dtype=_TRAJECTORY_DTYPE)
     log.flags.writeable = False
-    if cfg.return_best:
-        perm, objective = best_perm, best_obj
-    else:
-        perm, objective = current, trajectory[-1][0]
-    return AlignmentResult(
-        permutation=perm,
-        objective=objective,
-        matched_edges=matched_edges(g1, g2, perm),
-        iterations=len(trajectory) - 1,
-        converged=converged,
-        trajectory=log,
-    )
+    return _result(op, best_perm if cfg.return_best else current,
+                   len(trajectory) - 1, converged, log)

@@ -212,7 +212,7 @@ class AlignmentOperator:
         return product
 
     def permutation_product(self, perm: Permutation) -> np.ndarray:
-        """A y for y = `permutation_vector(n, perm)`, as an n x n matrix.
+        """A y for the 0/1 vector y[i*n + perm(i)] = 1, as an n x n matrix.
 
         With V the permutation matrix, A y is
         k G1 V G2 + (s3 - s2) (G1 V J + J V G2) + s2 J V J. Here
@@ -252,13 +252,6 @@ def quadratic_form(op: AlignmentOperator, perm: Permutation) -> float:
     """y^T A y for the 0/1 vectorization y of the permutation matrix, from
     its matched-edge count (`AlignmentOperator.matched_objective`)."""
     return op.matched_objective(matched_edges(op.g1, op.g2, perm))
-
-
-def permutation_vector(n: int, perm: Permutation) -> np.ndarray:
-    """0/1 vectorization of the permutation matrix: y[i*n + perm(i)] = 1."""
-    y = np.zeros(n * n, dtype=np.float64)
-    y[np.arange(n) * n + perm.map] = 1.0
-    return y
 
 
 def dense_alignment_matrix(g1: Graph, g2: Graph, params: ScoringParams,

@@ -96,8 +96,10 @@ entries can break a tie differently: from n = `REDUCE_MIN_N` on, and again
 from n = `SORT_DUALS_MIN_N` on, of two permutations with equal totals (such
 as two vertices with bit-equal score rows swapped) the solve may return the
 other one. A certified sort matching breaks ties by the stable argsorts:
-rows with equal sort keys, such as bit-equal score rows, go to their
-columns in index order.
+rows with bitwise-equal sort keys go to their columns in index order. The
+factor route's keys tie on bit-equal score lines; the pass route's matrix
+products (gemv, gemm) can round them apart, so its pick among such lines
+follows the BLAS kernel.
 """
 
 from __future__ import annotations

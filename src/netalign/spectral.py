@@ -46,6 +46,7 @@ is the largest n of the reduced sweep. `align` keeps eigenvectors up to it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,11 @@ _EPS = float(np.finfo(np.float64).eps)
 _STOP_SLACK = 16 * _EPS
 # Covers products that underflow (a few N times the smallest subnormal).
 _TINY = float(np.finfo(np.float64).tiny)
+
+
+def _is_number(value, kind: type) -> bool:
+    """`value` is an instance of the numeric ABC `kind` and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,8 @@ def top_eigenvector(op: AlignmentOperator,
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if not _is_number(max_iters, numbers.Integral) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     if start is None and op.n > DENSE_MAX_N:
         return _krylov_top_eigenvector(op, tol, max_iters)
     dim = op.dim

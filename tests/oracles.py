@@ -71,10 +71,16 @@ def best_quadratic_objective(dense, n):
     return best
 
 
-def quadratic_objective(dense, n, mapping):
+def permutation_vector(n, mapping):
+    """0/1 vectorization y of the permutation matrix: y[i*n + mapping[i]] = 1."""
     y = np.zeros(n * n)
     for i in range(n):
         y[i * n + mapping[i]] = 1.0
+    return y
+
+
+def quadratic_objective(dense, n, mapping):
+    y = permutation_vector(n, mapping)
     return float(y @ dense @ y)
 
 
@@ -268,21 +274,27 @@ def power_iteration_linalg_norm(apply, n, tol, max_iters):
 def ppa_capped_loop(op, v0, project, max_iters, return_best):
     """Projected power loop that evaluates every step up to the cap.
 
-    `op` supplies `permutation_product`, `project` maps an n x n score
-    matrix to a permutation. The first iterate is project(A v0) for the
-    eigenvector v0, which equals project(v0): A v0 is a positive multiple of
-    v0. Stops early only at a fixed point.
+    `op` supplies `permutation_product`, its graphs and its scores;
+    `project` maps an n x n score matrix to a permutation. The first iterate
+    is project(A v0) for the eigenvector v0, which equals project(v0): A v0
+    is a positive multiple of v0. Each iterate is scored by y^T A y in closed
+    form on its matched-edge count M: of the n² entries of A that y selects,
+    2M are edge matches, 2e1 + 2e2 - 4M mismatches and the rest non-edge
+    matches. Stops early only at a fixed point.
     Returns (permutation, objective, iterations, converged, trajectory,
     iterates): trajectory is a list of (objective, changed) and iterates the
     map arrays of the evaluated iterates of the projected step, in order.
     """
     n = op.n
+    s1, s2, s3 = op.params.s1, op.params.s2, op.params.s3
+    adj1, adj2 = op.g1.adjacency, op.g2.adjacency
+    e1, e2 = int(adj1.sum()) // 2, int(adj2.sum()) // 2
 
     def step(perm):
-        w = op.permutation_product(perm)
-        y = np.zeros(n * n)
-        y[np.arange(n) * n + perm.map] = 1.0
-        return w, float(y @ w.reshape(-1))
+        m = count_matched_edges_loop(adj1, adj2, perm.map)
+        objective = (s1 * (2 * m) + s3 * (2 * e1 + 2 * e2 - 4 * m)
+                     + s2 * (n * n - 2 * e1 - 2 * e2 + 2 * m))
+        return op.permutation_product(perm), objective
 
     pi0 = project(v0.reshape(n, n))
     _, obj0 = step(pi0)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import netalign.align as align
@@ -14,7 +15,7 @@ from netalign.graphs import (Graph, RngSeed, generate_er, matched_edges,
                              permute, random_permutation)
 from netalign.harness import make_instance
 from netalign.operator import (DegenerateBalanceError, dense_alignment_matrix,
-                               permutation_vector, quadratic_form)
+                               quadratic_form)
 from netalign.rounding import greedy_round, max_weight_matching
 from netalign.spectral import DENSE_MAX_N, top_eigenvector
 
@@ -104,7 +105,7 @@ class TestDeterminismAndSoundness:
         if not result.converged:
             pytest.skip("no fixed point within the cap for this draw")
         op = build_operator(g1, noisy_planted)
-        y = permutation_vector(op.n, result.permutation)
+        y = oracles.permutation_vector(op.n, result.permutation.map)
         replayed = greedy_round(op.apply(y).reshape(op.n, op.n))
         assert replayed == result.permutation
 
@@ -288,6 +289,40 @@ class TestCycleReplay:
         assert log.dtype == np.dtype([("objective", np.float64), ("changed", np.int64)])
         assert not log.flags.writeable
         assert log.tobytes() == np.array(trajectory, dtype=log.dtype).tobytes()
+
+
+@given(st.integers(min_value=2, max_value=12), st.floats(min_value=0.1, max_value=0.6),
+       st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=60),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_objective_is_the_closed_form_of_matched_edges(n, p, seed, cap, return_best):
+    """Both matchers report y^T A y of their permutation in closed form, PPA
+    logs each iterate's closed form, and with `return_best` reports the first
+    iterate with the most matched edges (iterates from the capped loop)."""
+    g1, g2 = generate_er(n, p, RngSeed(seed, 1)), generate_er(n, p, RngSeed(seed, 2))
+    assume(g1.edge_count + g2.edge_count > 0)
+    cfg = AlignConfig(ppa_max_iters=cap, return_best=return_best)
+    op = build_operator(g1, g2)
+    adj1, adj2 = g1.adjacency, g2.adjacency
+
+    def closed_form(mapping):
+        matched = oracles.count_matched_edges_loop(adj1, adj2, mapping)
+        return np.float64(op.matched_objective(matched)).tobytes()
+
+    for runner in (eigen_align, projected_power_align):
+        result = runner(g1, g2, cfg)
+        assert result.matched_edges == oracles.count_matched_edges_loop(
+            adj1, adj2, result.permutation.map)
+        assert np.float64(result.objective).tobytes() == closed_form(result.permutation.map)
+    *_, converged, _, iterates = capped_loop_reference(g1, g2, cfg)
+    # Entry 0 is the start rounding, the first iterate; a fixed point logs
+    # its confirming step.
+    logged = [iterates[0], *iterates, *iterates[-1:] * converged]
+    assert [closed_form(mapping) for mapping in logged] == [
+        np.float64(value).tobytes() for value in result.trajectory["objective"]]
+    counts = [oracles.count_matched_edges_loop(adj1, adj2, mapping) for mapping in iterates]
+    expected = iterates[counts.index(max(counts))] if return_best else iterates[-1]
+    assert np.array_equal(result.permutation.map, expected)
 
 
 def fresh_pair(n=20, lam=0.1, trial=0, seed=5, p=0.2):

@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
 import io
+import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,32 @@ def pinned_instances():
             for trial in range(PINNED_GRID.trials):
                 g1, g2, _ = make_instance(n, PINNED_GRID.p, lam, trial, PINNED_GRID.base_seed)
                 yield (n, lam, trial), g1, g2, build_operator(g1, g2)
+
+
+# Runs PPA on each pair of PINNED_GRID and prints, per run, the greedy
+# rounding of the spectral start and the result's permutation, matched
+# edges, objective bytes and trajectory bytes, with the OpenBLAS core.
+PPA_CORE_SCRIPT = """
+import json, sys
+import numpy as np
+from netalign.align import build_operator, projected_power_align
+from netalign.harness import make_instance
+from netalign.rounding import greedy_round
+from netalign.spectral import top_eigenvector
+from blas_core import openblas_core
+n_list, lambda_list, p, trials, seed = json.loads(sys.argv[1])
+report = {"core": openblas_core(), "runs": {}}
+for n in n_list:
+    for lam in lambda_list:
+        for trial in range(trials):
+            g1, g2, _ = make_instance(n, p, lam, trial, seed)
+            start = greedy_round(top_eigenvector(build_operator(g1, g2)).vector.reshape(n, n))
+            result = projected_power_align(g1, g2)
+            report["runs"][f"{n} {lam} {trial}"] = [
+                start.map.tolist(), result.permutation.map.tolist(), result.matched_edges,
+                np.float64(result.objective).tobytes().hex(), result.trajectory.tobytes().hex()]
+print(json.dumps(report))
+"""
 
 
 def exact_top_eigenvector(g1, g2, op):
@@ -307,7 +337,7 @@ class TestRunGrid:
         sink = io.StringIO()
         write_csv(run_grid(PINNED_GRID), sink)
         assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == (
-            "1bfbb5f033ae60a374d7cad0f0d9a125691f540319c592674583c9d4e7097369"), (
+            "0cf5e26f62456d3df680290f40c7f1f284173e9fdc9c60fcf99e1afea2372abe"), (
             f"recorded on OpenBLAS core SkylakeX, run on {openblas_core()}")
 
     def test_dense_product_moves_only_tied_eigenalign_permutations(self):
@@ -349,6 +379,32 @@ class TestRunGrid:
             scores = [oracles.assignment_score_exact(exact, m) for m in perms]
             assert abs(scores[0] - scores[1]) <= 4 * np.spacing(float(max(scores))), key
         assert moved >= 1  # 5 instances at n = 10
+
+    def test_ppa_loop_independent_of_the_blas_core(self):
+        # PPA's loop scores iterates by the closed form of their matched
+        # edges and projects integer-valued products, so once the start
+        # rounding agrees, OpenBLAS's Prescott core gives the default core's
+        # bytes. (The start itself follows the eigenvector's rounding.)
+        tests = Path(__file__).resolve().parent
+        grid = [PINNED_GRID.n_list, PINNED_GRID.lambda_list, PINNED_GRID.p,
+                PINNED_GRID.trials, PINNED_GRID.base_seed]
+        reports = []
+        for core in (None, "Prescott"):
+            env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            result = subprocess.run([sys.executable, "-c", PPA_CORE_SCRIPT, json.dumps(grid)],
+                                    capture_output=True, text=True, env=env)
+            assert result.returncode == 0, result.stderr
+            reports.append(json.loads(result.stdout))
+        default, prescott = reports
+        cores = default["core"], prescott["core"]
+        same_start = [key for key, run in default["runs"].items()
+                      if run[0] == prescott["runs"][key][0]]
+        assert same_start, f"no start rounding agrees on cores {cores}"
+        moved = [key for key in same_start if default["runs"][key] != prescott["runs"][key]]
+        assert moved == [], f"cores {cores}"
 
     def test_monotone_noise_trend(self):
         grid = GridSpec(n_list=(12,), lambda_list=(0.0, 0.3), p=0.2,

@@ -473,6 +473,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             top_eigenvector(op, max_iters=0)
 
+    @pytest.mark.parametrize("cap", [2.5, True, np.True_, 3.0],
+                             ids=["2.5", "True", "np.True_", "3.0"])
+    def test_rejects_a_cap_that_is_not_an_integer(self, cap):
+        op = planted_operator(10, 0.3, 0.1, 1)
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            top_eigenvector(op, tol=1e-300, max_iters=cap)
+
+    def test_accepts_a_numpy_integer_cap(self):
+        op = planted_operator(10, 0.3, 0.1, 1)
+        res = top_eigenvector(op, tol=1e-300, max_iters=np.int64(3))
+        assert (res.iterations, res.converged) == (3, False)
+        assert res == top_eigenvector(op, tol=1e-300, max_iters=3)
+
     def test_rejects_zero_start(self):
         op = empty_pair_operator(3)
         with pytest.raises(ValueError):
