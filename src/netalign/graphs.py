@@ -38,11 +38,13 @@ import io
 import re
 import threading
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING, Iterable
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.random import Generator, Philox
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Graph",
@@ -243,6 +245,8 @@ class Graph:
     def csr(self) -> sp.csr_array:
         """Float64 CSR matrix (sorted neighbor lists) on the read-only cached
         arrays of `_csr_arrays`, wrapped anew on each call."""
+        import scipy.sparse as sp  # the package's only scipy matrix
+
         indptr, indices, data = self._csr_arrays()
         return sp.csr_array((data, indices, indptr), shape=(self.n, self.n))
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO
 
@@ -42,6 +42,7 @@ from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, Permutation, RngSeed,
                      random_permutation)
 from .operator import (DegenerateBalanceError, compute_alpha, make_params,
                        permutation_objective)
+from .spectral import _is_number
 # Not called here any more; they stay names of this module because the
 # benchmark's tracer (benchmarks/tracing.py) wraps them by name.
 from .align import build_operator  # noqa: F401
@@ -121,6 +122,8 @@ def _check_ranges(n_list: Sequence[int], p: float, lambda_list: Sequence[float],
                   base_seed: int = 0) -> None:
     """Range checks shared by one trial, a whole grid of them and a parsed record."""
     for n in n_list:
+        if not _is_number(n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
         if n > MAX_EDGE_LIST_VERTICES:
@@ -130,7 +133,7 @@ def _check_ranges(n_list: Sequence[int], p: float, lambda_list: Sequence[float],
     for lam in lambda_list:
         if not (0.0 <= lam <= 1.0):
             raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if not (0 <= base_seed <= _MASK64):
+    if not (_is_number(base_seed, numbers.Integral) and 0 <= base_seed <= _MASK64):
         raise ValueError("base_seed must be an unsigned 64-bit integer")
 
 
@@ -148,6 +151,8 @@ class TrialSpec:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         _check_ranges((self.n,), self.p, (self.lam,), self.base_seed)
+        if not _is_number(self.trial_index, numbers.Integral):
+            raise ValueError(f"trial_index must be an integer, got {self.trial_index!r}")
         if self.trial_index < 0:
             raise ValueError(f"trial_index must be nonnegative, got {self.trial_index}")
 
@@ -247,8 +252,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.n_list or not self.lambda_list:
             raise ValueError("n and lambda grids must be non-empty")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not _is_number(self.trials, numbers.Integral) or self.trials < 1:
+            raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad or not self.algorithms:
             raise ValueError(f"algorithms must be a non-empty subset of {ALGORITHMS}")
@@ -294,6 +299,8 @@ def run_grid(grid: GridSpec, workers: int = 1) -> list[TrialRecord]:
     specs = grid.specs()
     workers = pool_size(len(specs), workers)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_trial, specs, chunksize=_CHUNK_SIZE))
     else:

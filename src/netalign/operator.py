@@ -32,7 +32,9 @@ verification oracle for small n, builds the n² x n² matrix entry by entry.
 
 Every sparse product goes through `_csr_product`: scipy's compiled CSR
 kernels called on the graph's own cached CSR arrays, with no scipy matrix
-built.
+built. The kernels' module `scipy.sparse._sparsetools` is loaded from its
+extension file without `scipy.sparse`'s `__init__` (`_kernels`); it is
+`_sparsetools` here.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
+from ._kernels import extension_module
 from .graphs import Graph, Permutation, matched_edges
 
 __all__ = [
@@ -55,6 +57,8 @@ __all__ = [
     "dense_alignment_matrix",
     "quadratic_form",
 ]
+
+_sparsetools = extension_module("scipy.sparse._sparsetools")
 
 DEFAULT_EPSILON = 0.001
 DENSE_ORACLE_CAP = 12

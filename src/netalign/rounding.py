@@ -6,7 +6,9 @@ and the greedy projection that repeatedly locks in the globally largest
 remaining entry and eliminates its row and column.
 
 The exact assignment is scipy's shortest augmenting path solver (Crouse
-2016), which starts every dual at zero. Every permutation takes one entry
+2016), `linear_sum_assignment` of `scipy.optimize._lsap`, loaded from its
+extension file without `scipy.optimize`'s `__init__` (`_kernels`). It
+starts every dual at zero. Every permutation takes one entry
 from each row and each column, so minimizing the reduced costs
 u_i + v_j - s_ij instead of maximizing the scores s shifts every
 permutation's total by the same sum(u) + sum(v): the optimal permutations
@@ -105,11 +107,13 @@ follows the BLAS kernel.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from ._kernels import extension_module
 from .graphs import Permutation
 
 __all__ = ["max_weight_matching", "greedy_round"]
+
+linear_sum_assignment = extension_module("scipy.optimize._lsap").linear_sum_assignment
 
 # Smallest n whose exact assignment is solved on column-reduced scores, and
 # the smallest on sort-matching duals (when the guard lets them through).

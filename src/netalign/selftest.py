@@ -12,13 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import align, operator, rounding, spectral
+from ._kernels import extension_module
 from .graphs import RngSeed, generate_er
 from .harness import make_instance, mix64
 
 __all__ = ["SuiteResult", "run_all_suites"]
+
+linear_sum_assignment = extension_module("scipy.optimize._lsap").linear_sum_assignment
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import types
 from contextlib import nullcontext
 
@@ -66,7 +67,7 @@ class TestSweep:
             return nullcontext(pool)
 
         monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", serial_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool)
         code, _, err = run_cli(["sweep", "--n", "4", "--lambda", "0,0.5",
                                 "--trials", str(trials), "--workers", str(workers),
                                 "--csv", str(tmp_path / "o.csv")], capsys)

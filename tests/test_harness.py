@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import io
@@ -203,6 +204,25 @@ class TestRunTrial:
             TrialSpec(n=MAX_EDGE_LIST_VERTICES + 1, p=0.2, lam=0.0, trial_index=0,
                       base_seed=0, algorithm="ppa")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 10.0), ("n", True), ("trial_index", 1.5), ("trial_index", 1.0),
+        ("trial_index", True), ("trial_index", np.True_), ("base_seed", 1.5),
+        ("base_seed", True),
+    ])
+    def test_spec_rejects_a_field_that_is_not_an_integer(self, field, value):
+        # A float or bool index would fold into the streams as int(value),
+        # drawing another trial's instance under this spec's coordinates.
+        fields = dict(n=10, p=0.2, lam=0.0, trial_index=0, base_seed=0, algorithm="ppa")
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an (unsigned 64-bit )?integer"):
+            TrialSpec(**fields)
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = TrialSpec(n=np.int64(6), p=0.4, lam=0.1, trial_index=np.int64(1),
+                         base_seed=np.uint64(3), algorithm="eigenalign")
+        assert run_trial(spec) == run_trial(TrialSpec(
+            n=6, p=0.4, lam=0.1, trial_index=1, base_seed=3, algorithm="eigenalign"))
+
     def test_every_spec_gives_a_record_read_csv_accepts(self):
         # `read_csv` refuses a negative trial_index, so `TrialSpec` does too.
         with pytest.raises(ValueError, match="trial_index must be nonnegative"):
@@ -316,7 +336,7 @@ class TestRunGrid:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
         grid = GridSpec(n_list=(6,), lambda_list=(0.0, 0.1), p=0.5, trials=5,
                         base_seed=2)
@@ -447,6 +467,26 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="n must be at most"):
             GridSpec(n_list=(5, MAX_EDGE_LIST_VERTICES + 1), lambda_list=(0.1,), p=0.2)
         GridSpec(n_list=(MAX_EDGE_LIST_VERTICES,), lambda_list=(0.1,), p=0.2)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(n_list=(10.0,)), "n must be an integer"),
+        (dict(n_list=(5, True)), "n must be an integer"),
+        (dict(trials=2.5), "trials must be an integer"),
+        (dict(trials=2.0), "trials must be an integer"),
+        (dict(trials=True), "trials must be an integer"),
+        (dict(base_seed=2.0), "base_seed must be an unsigned 64-bit integer"),
+    ])
+    def test_grid_rejects_a_size_that_is_not_an_integer(self, fields, message):
+        # n = 10.0 hashes like 10, so it could draw make_instance's cached
+        # n = 10 instance and write records with n 10.0.
+        with pytest.raises(ValueError, match=message):
+            GridSpec(**{"n_list": (5,), "lambda_list": (0.1,), "p": 0.2, **fields})
+
+    def test_grid_accepts_numpy_integers(self):
+        grid = GridSpec(n_list=(np.int64(5), np.int32(7)), lambda_list=(0.1,), p=0.3,
+                        trials=np.int64(2), base_seed=np.uint64(4))
+        assert run_grid(grid) == run_grid(GridSpec(n_list=(5, 7), lambda_list=(0.1,),
+                                                   p=0.3, trials=2, base_seed=4))
 
 
 class TestSummarize:
