@@ -34,12 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, Permutation, matched_edges
+from .graphs import Graph, Permutation, _is_number, matched_edges
 from .operator import (AlignmentOperator, compute_alpha, make_params, quadratic_form,
                        DEFAULT_EPSILON)
 from .rounding import _max_weight_matching, greedy_round, max_weight_matching
 from .spectral import (DEFAULT_MAX_ITERS, DEFAULT_TOL, DENSE_MAX_N, EigenResult,
-                       _is_number, top_eigenvector)
+                       top_eigenvector)
 
 __all__ = ["AlignConfig", "AlignmentResult", "eigen_align", "projected_power_align"]
 

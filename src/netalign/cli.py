@@ -16,8 +16,8 @@ from .align import AlignConfig, eigen_align, projected_power_align
 from .graphs import parse_edge_list
 from .harness import (ALGORITHMS, GridSpec, pool_size, render_heatmap,
                       run_grid, summarize, write_csv, write_heatmap_legend)
-from .operator import DegenerateBalanceError
-from .selftest import run_all_suites
+from .operator import DENSE_ORACLE_CAP, DegenerateBalanceError
+from .selftest import check_max_n, run_all_suites
 
 __all__ = ["main"]
 
@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     selftest = sub.add_parser("selftest", help="run the built-in oracle suites")
     selftest.add_argument("--max-n", type=int, default=6,
-                          help="largest graph size for dense oracles (default 6)")
+                          help=f"largest graph size for dense oracles, 2..{DENSE_ORACLE_CAP} "
+                               "(default %(default)s)")
     selftest.add_argument("--seed", type=int, default=0)
     selftest.set_defaults(func=cmd_selftest)
     return parser
@@ -211,8 +212,10 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    if args.max_n < 2:
-        print("error: --max-n must be at least 2", file=sys.stderr)
+    try:
+        check_max_n(args.max_n)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     results = run_all_suites(max_n=args.max_n, seed=args.seed)
     failed = 0

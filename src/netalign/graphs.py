@@ -35,6 +35,7 @@ is rejected before anything is allocated.
 from __future__ import annotations
 
 import io
+import numbers
 import re
 import threading
 from dataclasses import dataclass
@@ -66,6 +67,11 @@ _MASK64 = (1 << 64) - 1
 # float products 8 n² bytes each, so a larger header is rejected before any
 # allocation rather than trusted.
 MAX_EDGE_LIST_VERTICES = 10_000
+
+
+def _is_number(value, kind: type) -> bool:
+    """`value` is an instance of the numeric ABC `kind` and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -168,8 +174,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
+        _check_vertex_count(n)
         pairs = np.asarray(list(edges))
         if pairs.size and pairs.dtype.kind not in "iu":
             raise ValueError(f"vertex ids must be integers, got dtype {pairs.dtype}")
@@ -350,6 +355,12 @@ class Permutation:
         return f"Permutation({self._map.tolist()})"
 
 
+def _check_vertex_count(n: int) -> None:
+    """A vertex count is an integer (a numpy one too, not a bool) of at least 1."""
+    if not (_is_number(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+
+
 def _check_probability(value: float, name: str) -> float:
     value = float(value)
     if not (0.0 <= value <= 1.0) or np.isnan(value):
@@ -367,8 +378,7 @@ def _upper_mask(n: int) -> np.ndarray:
 
 def generate_er(n: int, p: float, seed: RngSeed | int) -> Graph:
     """Erdős–Rényi G(n, p): each unordered pair is an edge with probability p."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_vertex_count(n)
     p = _check_probability(p, "p")
     rng = _stream(seed)
     adj = np.zeros((n, n), dtype=bool)
@@ -404,8 +414,7 @@ def permute(g: Graph, perm: Permutation) -> Graph:
 
 def random_permutation(n: int, seed: RngSeed | int) -> Permutation:
     """Uniform random permutation (Fisher–Yates), deterministic given seed."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_vertex_count(n)
     rng = _stream(seed)
     return Permutation._trusted(rng.permutation(n))
 

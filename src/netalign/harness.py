@@ -38,11 +38,10 @@ from typing import IO
 from .align import (AlignConfig, AlignmentResult, eigen_align,
                     projected_power_align)
 from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, Permutation, RngSeed,
-                     apply_noise, generate_er, matched_edges, permute,
+                     _is_number, apply_noise, generate_er, matched_edges, permute,
                      random_permutation)
 from .operator import (DegenerateBalanceError, compute_alpha, make_params,
                        permutation_objective)
-from .spectral import _is_number
 # Not called here any more; they stay names of this module because the
 # benchmark's tracer (benchmarks/tracing.py) wraps them by name.
 from .align import build_operator  # noqa: F401
@@ -208,35 +207,26 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
     """Run one planted trial; deterministic given the spec."""
     g1, g2, planted = make_instance(spec.n, spec.p, spec.lam, spec.trial_index,
                                     spec.base_seed)
+    record = functools.partial(TrialRecord, n=spec.n, p=spec.p, lam=spec.lam,
+                               algorithm=spec.algorithm, trial_index=spec.trial_index)
     if spec.n == 1:
         # Single vertex: the unique bijection is trivially correct, but the
         # scoring balance is degenerate, so the pipelines are bypassed.
-        return TrialRecord(n=spec.n, p=spec.p, lam=spec.lam, algorithm=spec.algorithm,
-                           trial_index=spec.trial_index, recovery_fraction=1.0,
-                           exact=True, matched_edges=0, objective=0.0,
-                           objective_ratio=1.0, iterations=0)
+        return record(recovery_fraction=1.0, exact=True, matched_edges=0, objective=0.0,
+                      objective_ratio=1.0, iterations=0)
     try:
         result = _run_algorithm(spec.algorithm, g1, g2, spec.cfg)
         params = make_params(compute_alpha(g1, g2), spec.cfg.epsilon)
     except DegenerateBalanceError as err:
-        return TrialRecord(n=spec.n, p=spec.p, lam=spec.lam, algorithm=spec.algorithm,
-                           trial_index=spec.trial_index, recovery_fraction=0.0,
-                           exact=False, matched_edges=0, objective=0.0,
-                           objective_ratio=0.0, iterations=0, failure=str(err))
+        return record(recovery_fraction=0.0, exact=False, matched_edges=0, objective=0.0,
+                      objective_ratio=0.0, iterations=0, failure=str(err))
     planted_objective = permutation_objective(
         params, g1.edge_count, g2.edge_count, spec.n, matched_edges(g1, g2, planted))
     hits = int((result.permutation.map == planted.map).sum())
-    recovery = hits / spec.n
-    return TrialRecord(
-        n=spec.n, p=spec.p, lam=spec.lam, algorithm=spec.algorithm,
-        trial_index=spec.trial_index,
-        recovery_fraction=_round6(recovery),
-        exact=(hits == spec.n),
-        matched_edges=result.matched_edges,
-        objective=_round6(result.objective),
-        objective_ratio=_round6(result.objective / planted_objective),
-        iterations=result.iterations,
-    )
+    return record(recovery_fraction=_round6(hits / spec.n), exact=(hits == spec.n),
+                  matched_edges=result.matched_edges, objective=_round6(result.objective),
+                  objective_ratio=_round6(result.objective / planted_objective),
+                  iterations=result.iterations)
 
 
 @dataclass(frozen=True)

@@ -258,8 +258,7 @@ def quadratic_form(op: AlignmentOperator, perm: Permutation) -> float:
     return op.matched_objective(matched_edges(op.g1, op.g2, perm))
 
 
-def dense_alignment_matrix(g1: Graph, g2: Graph, params: ScoringParams,
-                           max_n: int = DENSE_ORACLE_CAP) -> np.ndarray:
+def dense_alignment_matrix(g1: Graph, g2: Graph, params: ScoringParams) -> np.ndarray:
     """Explicit n² x n² scoring matrix, built entry by entry from the rule.
 
     Verification oracle only: O(n^4) memory. Kept independent of the
@@ -267,8 +266,8 @@ def dense_alignment_matrix(g1: Graph, g2: Graph, params: ScoringParams,
     """
     _check_same_size(g1, g2)
     n = g1.n
-    if n > max_n:
-        raise ValueError(f"dense oracle capped at n={max_n}, got n={n}")
+    if n > DENSE_ORACLE_CAP:
+        raise ValueError(f"dense oracle capped at n={DENSE_ORACLE_CAP}, got n={n}")
     s1, s2, s3 = params.s1, params.s2, params.s3
     out = np.empty((n * n, n * n), dtype=np.float64)
     for i in range(n):

@@ -18,7 +18,7 @@ from ._kernels import extension_module
 from .graphs import RngSeed, generate_er
 from .harness import make_instance, mix64
 
-__all__ = ["SuiteResult", "run_all_suites"]
+__all__ = ["SuiteResult", "check_max_n", "run_all_suites"]
 
 linear_sum_assignment = extension_module("scipy.optimize._lsap").linear_sum_assignment
 
@@ -40,10 +40,16 @@ def _params_for(g1, g2):
     return operator.make_params(operator.compute_alpha(g1, g2))
 
 
+def _draws_checked(checked: int, draws: int) -> str:
+    """Pairs checked of those drawn; two empty graphs have no scoring balance."""
+    return f"{checked} of {draws} draws ({draws - checked} empty pairs skipped)"
+
+
 def suite_dense_equivalence(max_n: int, seed: int, draws: int = 40) -> SuiteResult:
     """The operator's factored product `apply` vs the loop-built dense matrix."""
     rng = RngSeed(mix64(seed, 101)).generator()
     worst = 0.0
+    checked = 0
     for k in range(draws):
         n = 2 + k % (max_n - 1)
         g1, g2 = _random_pair(n, mix64(seed, 11, k))
@@ -57,10 +63,11 @@ def suite_dense_equivalence(max_n: int, seed: int, draws: int = 40) -> SuiteResu
         expected = dense @ v
         scale = max(np.linalg.norm(expected), 1e-300)
         worst = max(worst, float(np.linalg.norm(op.apply(v) - expected) / scale))
+        checked += 1
     ok = worst < 1e-12
     return SuiteResult("dense-operator-equivalence", ok,
                        f"max relative error {worst:.3e} of apply against the dense matrix "
-                       f"over {draws} draws (tol 1e-12)")
+                       f"over {_draws_checked(checked, draws)} (tol 1e-12)")
 
 
 # Planted pairs (n, p, lambda) above `rounding.SORT_DUALS_MIN_N`: the denser
@@ -125,6 +132,7 @@ def suite_eigen_residual(max_n: int, seed: int, draws: int = 20) -> SuiteResult:
     both the `apply` loop `top_eigenvector` runs at these sizes and the
     Kronecker-Krylov loop it runs above `spectral.DENSE_MAX_N`."""
     worst = 0.0
+    checked = 0
     for k in range(draws):
         n = 2 + k % (max_n - 1)
         g1, g2 = _random_pair(n, mix64(seed, 13, k))
@@ -143,10 +151,11 @@ def suite_eigen_residual(max_n: int, seed: int, draws: int = 20) -> SuiteResult:
             err = max(abs(res.value - values[-1]) / max(1.0, abs(values[-1])),
                       float(np.abs(res.vector - top).max()))
             worst = max(worst, err)
+        checked += 1
     ok = worst < 1e-6
     return SuiteResult("eigen-vs-dense", ok,
                        f"max eigenpair deviation {worst:.3e} of the apply and Krylov loops "
-                       f"over {draws} draws (tol 1e-6)")
+                       f"over {_draws_checked(checked, draws)} (tol 1e-6)")
 
 
 def suite_noiseless_recovery(seed: int, trials: int = 5, n: int = 15) -> SuiteResult:
@@ -165,10 +174,15 @@ def suite_noiseless_recovery(seed: int, trials: int = 5, n: int = 15) -> SuiteRe
                        "by both pipelines")
 
 
+def check_max_n(max_n: int) -> None:
+    """The dense oracles' size rule: `max_n` must lie in 2..`DENSE_ORACLE_CAP`."""
+    if not 2 <= max_n <= operator.DENSE_ORACLE_CAP:
+        raise ValueError(f"max-n must lie in 2..{operator.DENSE_ORACLE_CAP}, got {max_n}")
+
+
 def run_all_suites(max_n: int = 6, seed: int = 0) -> list[SuiteResult]:
-    if max_n < 2:
-        raise ValueError("max-n must be at least 2")
-    max_n = min(max_n, operator.DENSE_ORACLE_CAP)
+    """Every suite, with dense oracles of size 2..`max_n` (`check_max_n`)."""
+    check_max_n(max_n)
     return [
         suite_dense_equivalence(max_n, seed),
         suite_matching_oracle(seed, n=min(max_n, 6)),

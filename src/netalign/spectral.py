@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _is_number
 from .operator import AlignmentOperator, _csr_product
 
 __all__ = ["EigenResult", "top_eigenvector"]
@@ -69,11 +69,6 @@ _EPS = float(np.finfo(np.float64).eps)
 _STOP_SLACK = 16 * _EPS
 # Covers products that underflow (a few N times the smallest subnormal).
 _TINY = float(np.finfo(np.float64).tiny)
-
-
-def _is_number(value, kind: type) -> bool:
-    """`value` is an instance of the numeric ABC `kind` and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -119,8 +114,8 @@ def top_eigenvector(op: AlignmentOperator,
     as the uniform start is for an empty or regular pair. Planted runs end
     on the iterate difference or at the cap.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (_is_number(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not _is_number(max_iters, numbers.Integral) or max_iters < 1:
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     if start is None and op.n > DENSE_MAX_N:

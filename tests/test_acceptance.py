@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete. Statistical criteria (1, 2, 9) use frozen base seeds;
-every run is deterministic given the same numpy/scipy builds.
+lines as they complete. Criteria 3-5 run the oracle suites of `netalign
+selftest` (src/netalign/selftest.py). Criteria 1-5 and 9 use the frozen base
+seed; every run is deterministic given the same numpy/scipy builds.
 """
 
 import itertools
@@ -10,17 +11,15 @@ import time
 
 import numpy as np
 
+from netalign import selftest
 from netalign.align import (AlignConfig, build_operator, eigen_align,
                             projected_power_align)
 from netalign.cli import main as cli_main
 from netalign.graphs import Permutation, RngSeed, generate_er
 from netalign.harness import (ALGORITHMS, GridSpec, TrialSpec, run_grid,
                               run_trial, summarize)
-from netalign.operator import (AlignmentOperator, DegenerateBalanceError,
-                               compute_alpha, dense_alignment_matrix,
-                               make_params)
-from netalign.rounding import greedy_round, max_weight_matching
-from netalign.spectral import top_eigenvector
+from netalign.operator import DegenerateBalanceError, dense_alignment_matrix
+from netalign.rounding import greedy_round
 
 import oracles
 
@@ -87,71 +86,23 @@ def test_criterion_2_ppa_improvement():
 
 def test_criterion_3_operator_correctness():
     started = time.perf_counter()
-    rng = np.random.default_rng(12321)
-    checked = 0
-    worst = 0.0
-    k = 0
-    while checked < 100:
-        n = 2 + k % 5  # n in 2..6
-        g1, g2 = random_pair(n, 40000 + k)
-        k += 1
-        try:
-            params = make_params(compute_alpha(g1, g2))
-        except DegenerateBalanceError:
-            continue
-        op = AlignmentOperator(g1, g2, params)
-        dense = dense_alignment_matrix(g1, g2, params)
-        v = rng.standard_normal(n * n)
-        expected = dense @ v
-        rel = float(np.linalg.norm(op.apply(v) - expected) / np.linalg.norm(expected))
-        worst = max(worst, rel)
-        checked += 1
-    elapsed = time.perf_counter() - started
-    report(3, "operator matches dense oracle", worst < 1e-12,
-           f"max relative error {worst:.2e} over 100 draws, {elapsed:.1f}s")
+    res = selftest.suite_dense_equivalence(max_n=6, seed=BASE_SEED, draws=100)
+    report(3, "operator matches dense oracle", res.passed,
+           f"{res.detail}, {time.perf_counter() - started:.1f}s")
 
 
 def test_criterion_4_exact_rounding():
     started = time.perf_counter()
-    rng = np.random.default_rng(777)
-    exact = 0
-    for _ in range(200):
-        scores = rng.standard_normal((6, 6))
-        sigma = max_weight_matching(scores)
-        total = float(scores[np.arange(6), sigma.map].sum())
-        if total == oracles.best_assignment_weight(scores):
-            exact += 1
-    elapsed = time.perf_counter() - started
-    report(4, "exact assignment rounding", exact == 200,
-           f"{exact}/200 draws equal the 720-permutation maximum, {elapsed:.1f}s")
+    res = selftest.suite_matching_oracle(seed=BASE_SEED, draws=200)
+    report(4, "exact assignment rounding", res.passed,
+           f"{res.detail}, {time.perf_counter() - started:.1f}s")
 
 
 def test_criterion_5_spectral_accuracy():
     started = time.perf_counter()
-    checked = 0
-    worst = 0.0
-    k = 0
-    while checked < 50:
-        n = 2 + k % 4  # n in 2..5
-        g1, g2 = random_pair(n, 50000 + k)
-        k += 1
-        try:
-            params = make_params(compute_alpha(g1, g2))
-        except DegenerateBalanceError:
-            continue
-        op = AlignmentOperator(g1, g2, params)
-        res = top_eigenvector(op, tol=1e-10, max_iters=50000)
-        values, vectors = np.linalg.eigh(dense_alignment_matrix(g1, g2, params))
-        top = vectors[:, -1]
-        if top.sum() < 0:
-            top = -top
-        worst = max(worst,
-                    abs(res.value - values[-1]) / max(1.0, abs(values[-1])),
-                    float(np.abs(res.vector - top).max()))
-        checked += 1
-    elapsed = time.perf_counter() - started
-    report(5, "power iteration matches dense eigensolver", worst <= 1e-6,
-           f"max eigenpair deviation {worst:.2e} over 50 instances, {elapsed:.1f}s")
+    res = selftest.suite_eigen_residual(max_n=5, seed=BASE_SEED, draws=50)
+    report(5, "power iteration matches dense eigensolver", res.passed,
+           f"{res.detail}, {time.perf_counter() - started:.1f}s")
 
 
 def test_criterion_6_greedy_semantics():

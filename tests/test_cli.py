@@ -4,7 +4,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from netalign import align, harness, operator, rounding
+from netalign import align, harness, operator, rounding, selftest
 from netalign.align import AlignConfig
 from netalign.graphs import Permutation
 from netalign.cli import _config_from, build_parser, main
@@ -278,6 +278,21 @@ class TestSelftest:
     def test_reduced_max_n(self, capsys):
         code, out, _ = run_cli(["selftest", "--max-n", "3"], capsys)
         assert code == 0
+
+    def test_largest_max_n_passes(self, capsys):
+        code, out, _ = run_cli(["selftest", "--max-n", str(operator.DENSE_ORACLE_CAP)], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "4/4 suites passed"
+
+    @pytest.mark.parametrize("max_n", [1, operator.DENSE_ORACLE_CAP + 1])
+    def test_max_n_outside_the_dense_oracle_range_rejected(self, max_n, capsys):
+        code, out, err = run_cli(["selftest", "--max-n", str(max_n)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: max-n must lie in 2..{operator.DENSE_ORACLE_CAP}, got {max_n}\n"
+        with pytest.raises(ValueError) as exc:
+            selftest.run_all_suites(max_n=max_n)
+        assert err == f"error: {exc.value}\n"
 
     def test_corrupted_scoring_detected(self, capsys, monkeypatch):
         original = operator.AlignmentOperator.apply

@@ -19,6 +19,11 @@ from netalign.rounding import greedy_round, max_weight_matching
 
 import oracles
 
+# Vertex counts the public constructors reject: bools, non-integer numbers
+# (3.0 too), strings, zero and negatives.
+BAD_SIZES = [True, np.True_, 3.0, np.float64(3.0), 2.5, "3", 0, -1]
+BAD_SIZE_IDS = ["True", "np.True_", "3.0", "np.float64", "2.5", "str", "0", "-1"]
+
 
 class TestGraphType:
     def test_rejects_self_loops(self):
@@ -86,6 +91,14 @@ class TestGraphType:
             Graph.from_edges(2, [(0, 2)])
         with pytest.raises(ValueError, match="self-loop"):
             Graph.from_edges(2, [(1, 1)])
+
+    @pytest.mark.parametrize("n", BAD_SIZES, ids=BAD_SIZE_IDS)
+    def test_from_edges_rejects_a_size_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+            Graph.from_edges(n, [(0, 1)])
+
+    def test_from_edges_accepts_a_numpy_integer_size(self):
+        assert Graph.from_edges(np.int64(3), [(0, 1)]) == Graph.from_edges(3, [(0, 1)])
 
 
 class TestPermutationType:
@@ -332,6 +345,14 @@ class TestGenerateEr:
         b = generate_er(50, 0.3, RngSeed(2, 5))
         assert a == b
 
+    @pytest.mark.parametrize("n", BAD_SIZES, ids=BAD_SIZE_IDS)
+    def test_rejects_a_size_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+            generate_er(n, 0.5, RngSeed(0))
+
+    def test_accepts_a_numpy_integer_size(self):
+        assert generate_er(np.int64(6), 0.5, RngSeed(1)) == generate_er(6, 0.5, RngSeed(1))
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             generate_er(0, 0.5, RngSeed(0))
@@ -464,6 +485,15 @@ class TestRandomPermutation:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             random_permutation(0, RngSeed(0))
+
+    @pytest.mark.parametrize("n", BAD_SIZES, ids=BAD_SIZE_IDS)
+    def test_rejects_a_size_that_is_not_a_positive_integer(self, n):
+        # True would draw Permutation([0]); 3.0 would fail inside numpy.
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+            random_permutation(n, RngSeed(1))
+
+    def test_accepts_a_numpy_integer_size(self):
+        assert random_permutation(np.int64(6), RngSeed(1)) == random_permutation(6, RngSeed(1))
 
 
 class TestEdgeListFormat:

@@ -1,11 +1,13 @@
-"""A function defined twice in one module or class body replaces the first
-definition, so the first (a test, say) silently never runs. No lint tool is a
-dependency, so this check parses the sources itself."""
+"""Checks that parse the sources themselves, since no lint tool is a
+dependency. A function defined twice in one module or class body replaces the
+first definition, so the first (a test, say) silently never runs. The line
+counter that CI prints (tests/source_size.py) must sort lines as it says."""
 
 import ast
 from pathlib import Path
 
 import netalign
+from source_size import line_kinds
 
 SOURCE_DIRS = (Path(__file__).parent, Path(netalign.__file__).parent)
 
@@ -25,3 +27,22 @@ def test_no_function_defined_twice_in_one_body():
                         shadowed.append(f"{path.name}:{stmt.lineno}: {stmt.name}")
                     seen.add(stmt.name)
     assert shadowed == []
+
+
+def test_source_size_kinds_each_line():
+    text = '''"""Module docstring.
+
+Second paragraph."""
+# a comment
+X = """text
+# not a comment
+"""  # trailing comment
+
+
+def f():
+    """One line."""
+    return X
+'''
+    assert line_kinds(text) == [
+        "docstring", "blank", "docstring", "comment", "code", "code", "code",
+        "blank", "blank", "code", "docstring", "code"]
