@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+    from numpy.random import Generator
 
 __all__ = [
     "Graph",
@@ -92,6 +92,9 @@ class RngSeed:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
     def generator(self) -> Generator:
+        # numpy.random loads here, on the first draw, not with the package.
+        from numpy.random import Generator, Philox
+
         key = np.array([self.base_seed, self.stream_id], dtype=np.uint64)
         return Generator(Philox(key=key))
 

@@ -38,8 +38,8 @@ from typing import IO
 from .align import (AlignConfig, AlignmentResult, eigen_align,
                     projected_power_align)
 from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, Permutation, RngSeed,
-                     _is_number, apply_noise, generate_er, matched_edges, permute,
-                     random_permutation)
+                     _check_vertex_count, _is_number, apply_noise, generate_er,
+                     matched_edges, permute, random_permutation)
 from .operator import (DegenerateBalanceError, compute_alpha, make_params,
                        permutation_objective)
 # Not called here any more; they stay names of this module because the
@@ -121,10 +121,7 @@ def _check_ranges(n_list: Sequence[int], p: float, lambda_list: Sequence[float],
                   base_seed: int = 0) -> None:
     """Range checks shared by one trial, a whole grid of them and a parsed record."""
     for n in n_list:
-        if not _is_number(n, numbers.Integral):
-            raise ValueError(f"n must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"n must be at least 1, got {n}")
+        _check_vertex_count(n)
         if n > MAX_EDGE_LIST_VERTICES:
             raise ValueError(f"n must be at most {MAX_EDGE_LIST_VERTICES}, got {n}")
     if not (0.0 <= p <= 1.0):

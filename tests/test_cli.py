@@ -134,8 +134,8 @@ class TestSweep:
         assert "epsilon" in err
 
     @pytest.mark.parametrize("flags,message", [
-        (["--n", "0"], "n must be at least 1"),
-        (["--n", "5,0"], "n must be at least 1"),
+        (["--n", "0"], "n must be an integer of at least 1"),
+        (["--n", "5,0"], "n must be an integer of at least 1"),
         (["--p", "1.5"], "p must lie"),
         (["--lambda", "0,nan"], "lambda"),
         (["--trials", "0"], "trials"),

@@ -454,9 +454,9 @@ class TestRunGrid:
             GridSpec(n_list=(5,), lambda_list=(0.1,), p=0.2, algorithms=("x",))
 
     def test_grid_ranges_checked_up_front(self):
-        with pytest.raises(ValueError, match="n must be at least 1"):
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
             GridSpec(n_list=(0,), lambda_list=(0.1,), p=0.2)
-        with pytest.raises(ValueError, match="n must be at least 1"):
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
             GridSpec(n_list=(5, -3), lambda_list=(0.1,), p=0.2)
         for p in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="p must lie"):
@@ -469,8 +469,8 @@ class TestRunGrid:
         GridSpec(n_list=(MAX_EDGE_LIST_VERTICES,), lambda_list=(0.1,), p=0.2)
 
     @pytest.mark.parametrize("fields, message", [
-        (dict(n_list=(10.0,)), "n must be an integer"),
-        (dict(n_list=(5, True)), "n must be an integer"),
+        (dict(n_list=(10.0,)), "n must be an integer of at least 1"),
+        (dict(n_list=(5, True)), "n must be an integer of at least 1"),
         (dict(trials=2.5), "trials must be an integer"),
         (dict(trials=2.0), "trials must be an integer"),
         (dict(trials=True), "trials must be an integer"),
@@ -591,11 +591,11 @@ class TestCsv:
     def test_out_of_range_row_rejected(self):
         # Parsed whole, this row would give the heatmap a gray level of 2295.
         text = CSV_HEADER + "\n-5,7,-3,ppa,-1,9,1,-4,nan,inf,-2,0\n"
-        with pytest.raises(ValueError, match="line 2: n must be at least 1"):
+        with pytest.raises(ValueError, match="line 2: n must be an integer of at least 1"):
             read_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("column, value, message", [
-        (0, "0", "n must be at least 1"),
+        (0, "0", "n must be an integer of at least 1"),
         (0, str(MAX_EDGE_LIST_VERTICES + 1), "n must be at most"),
         (1, "1.5", "p must lie in"),
         (1, "nan", "p must lie in"),

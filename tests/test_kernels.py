@@ -1,8 +1,9 @@
 """The two compiled scipy modules the package calls are loaded from their
 extension files, without the `__init__` of `scipy.optimize` and
 `scipy.sparse`, and are the very modules those packages import, whichever
-is imported first. Each check runs in a fresh interpreter, since this
-process has imported scipy's packages already."""
+is imported first. `import netalign` leaves `numpy.random` (on numpy 2), the
+harness and the estimators unloaded until first use. Each check runs in a fresh
+interpreter, since this process has imported all of these already."""
 
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import netalign
 from netalign import _kernels
 
 KERNELS = ("scipy.optimize._lsap", "scipy.sparse._sparsetools")
@@ -128,3 +130,92 @@ def test_kernels_are_scipys_in_either_import_order(order):
     report = run_script(IMPORT_ORDER_SCRIPT, order)
     assert report == {"assignments": [True] * 6, "products": [True, True],
                       "same": [True, True], "workers": True}, route()
+
+
+# Modules a fresh `import netalign` leaves for first use. numpy 2 loads
+# numpy.random lazily; numpy 1.x's own `import numpy` loads it, and there
+# it cannot be deferred.
+DEFERRED = ("numpy.random", "netalign.harness", "netalign.estimators")
+
+# Notes whether `import numpy` alone loads numpy.random, then imports argv[1]
+# and lists which of argv[2:] it loaded.
+LOADED_SCRIPT = """
+import importlib, json, sys
+import numpy
+numpy_loads_random = "numpy.random" in sys.modules
+importlib.import_module(sys.argv[1])
+print(json.dumps({"numpy_loads_random": numpy_loads_random,
+                  "loaded": [name for name in sys.argv[2:] if name in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize("module, deferred", [
+    ("netalign", DEFERRED),
+    ("netalign.cli", DEFERRED + ("netalign.selftest",)),
+], ids=["netalign", "netalign.cli"])
+def test_fresh_import_defers_what_matching_never_calls(module, deferred):
+    report = run_script(LOADED_SCRIPT, module, *deferred)
+    print(f"numpy's own import loads numpy.random: {report['numpy_loads_random']}")
+    assert report["loaded"] == (["numpy.random"] if report["numpy_loads_random"] else [])
+
+
+# Lists the public names `dir` misses before any is used, then star-imports
+# the package and names each bound object that is not the one its defining
+# module and the package attribute hold.
+STAR_SCRIPT = """
+import json, sys
+import netalign
+missing_from_dir = sorted(set(netalign.__all__) - set(dir(netalign)))
+names = {}
+exec("from netalign import *", names)
+print(json.dumps({
+    "missing_from_dir": missing_from_dir,
+    "bound": sorted(names.keys() - {"__builtins__"}) == sorted(netalign.__all__),
+    "foreign": [name for name in netalign.__all__
+                if not (names[name] is getattr(sys.modules[names[name].__module__], name)
+                        is getattr(netalign, name))],
+}))
+"""
+
+
+def test_star_import_binds_each_modules_object():
+    assert run_script(STAR_SCRIPT) == {"missing_from_dir": [], "bound": True, "foreign": []}
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        netalign.no_such_name
+    with pytest.raises(ImportError):
+        from netalign import no_such_name  # noqa: F401
+
+
+# Draws from one stream in a fresh interpreter, by `RngSeed.generator()`
+# and by `_stream` in the order argv[1] names, and by a generator built
+# directly from numpy.random; notes whether numpy.random was loaded before
+# the first draw, and whether `import numpy` alone loads it.
+FIRST_DRAW_SCRIPT = """
+import json, sys
+import numpy
+numpy_loads_random = "numpy.random" in sys.modules
+from netalign.graphs import RngSeed, _stream
+seed = RngSeed(11, 29)
+deferred = "numpy.random" not in sys.modules
+
+def draw(rng):
+    return [rng.random(5).tobytes().hex(), rng.permutation(9).tolist()]
+
+if sys.argv[1] == "generator first":
+    first, stream = draw(seed.generator()), draw(_stream(seed))
+else:
+    stream, first = draw(_stream(seed)), draw(seed.generator())
+from oracles import fresh_philox
+print(json.dumps({"numpy_loads_random": numpy_loads_random, "deferred": deferred,
+                  "same": first == stream == draw(fresh_philox(11, 29))}))
+"""
+
+
+@pytest.mark.parametrize("order", ["generator first", "stream first"])
+def test_first_generator_draws_what_the_stream_draws(order):
+    report = run_script(FIRST_DRAW_SCRIPT, order)
+    assert report["deferred"] is not report["numpy_loads_random"]
+    assert report["same"]
