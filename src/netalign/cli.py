@@ -194,7 +194,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         return 1
     print(f"match: {args.algo} finished in {time.perf_counter() - parsed:.3f}s",
           file=sys.stderr)
-    lines = [f"{i} -> {result.permutation(i)}" for i in range(g1.n)]
+    lines = [f"{i} -> {j}" for i, j in enumerate(result.permutation.map.tolist())]
     lines.append(f"matched_edges: {result.matched_edges}")
     lines.append(f"objective: {result.objective:.6g}")
     lines.append(f"iterations: {result.iterations}")

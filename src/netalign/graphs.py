@@ -454,6 +454,9 @@ def _edge_graph(n: int, rows, cols) -> Graph:
 # hold two ASCII-digit ids of at most 9 digits (int64 holds them) between
 # spaces and tabs, "\r" allowed before "\n". One search finds any other line;
 # its first branch, the usual line, is the one the regex engine runs fastest.
+# A body whose every line is that usual line with one blank between the ids
+# (`format_edge_list` writes no other) skips the search: `_plain_runs` tells
+# it by two byte passes, and each of its lines matches the first branch.
 _HEADER = re.compile(r"[ \t]*n[ \t]+([0-9]{1,9})[ \t]*\r?(?=\n|\Z)")
 _ODD_LINE = re.compile(r"\n(?![0-9]{1,9}[ \t]+[0-9]{1,9}\r?\n"
                        r"|[ \t]*(?:[0-9]{1,9}[ \t]+[0-9]{1,9}[ \t]*)?\r?(?:\n|\Z))")
@@ -474,24 +477,53 @@ def parse_edge_list(text: str | IO[str]) -> Graph:
 
 
 def _parse_whole(text: str) -> Graph | None:
-    """The graph of a plain text with ids in range and no self-loop, else None
-    (the loop then reports the error); never raises."""
+    r"""The graph of a plain text with ids in range and no self-loop, else None
+    (the loop then reports the error); never raises. A body of only "i j"
+    lines, each ended by "\n" or "\r\n" (`_plain_runs`), skips the
+    `_ODD_LINE` search: each such line matches the search's first branch, so
+    it would find nothing."""
     head = _HEADER.match(text)
     n = int(head[1]) if head else 0
     if not 1 <= n <= MAX_EDGE_LIST_VERTICES:
         return None
     body = text[head.end():]
-    if _ODD_LINE.search(body):
-        return None
+    runs = _plain_runs(body)
+    if runs is None:
+        if _ODD_LINE.search(body):
+            return None
+        # One id per run of digits, the body's only bytes at or above "0"
+        # (it starts with "\n").
+        digit = np.frombuffer(body.encode("ascii"), dtype=np.uint8) >= ord("0")
+        runs = np.count_nonzero(digit[1:] > digit[:-1])
+    # fromstring reads blank text as [0]: ask for one id per run of digits.
     ids = np.fromstring(body, dtype=np.int64, sep=" ")
-    # fromstring reads blank text as [0]: ask for one id per run of digits,
-    # the body's only bytes at or above "0" (it starts with "\n").
-    digit = np.frombuffer(body.encode("ascii"), dtype=np.uint8) >= ord("0")
-    runs = np.count_nonzero(digit[1:] > digit[:-1])
     rows, cols = ids[0::2], ids[1::2]
     if ids.size != runs or (ids >= n).any() or (rows == cols).any():
         return None
     return _edge_graph(n, rows, cols)
+
+
+_TAB_TO_SPACE = bytes.maketrans(b"\t", b" ")
+
+
+def _plain_runs(body: str) -> int | None:
+    r"""The number of ids in `body` when each of its lines is two ids of 1-9
+    ASCII digits, one space or tab between them, ended by "\n" or "\r\n";
+    else None. Such a body, less its digits and "\r", is "\n" and then one
+    " \n" a line; every "\r" stands before a "\n"; and its digit runs, none
+    longer than 9, number two a line."""
+    if not (body.isascii() and body.endswith("\n")):
+        return None
+    raw = body.encode("ascii")
+    spaced = raw.translate(_TAB_TO_SPACE, b"0123456789\r")
+    lines = len(spaced) // 2
+    if spaced != b"\n" + b" \n" * lines or raw.count(b"\r") != raw.count(b"\r\n"):
+        return None
+    digit = np.frombuffer(raw, dtype=np.uint8) >= ord("0")
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])  # each run's start, then its end
+    if bounds.size != 4 * lines or (bounds[1::2] - bounds[0::2]).max(initial=0) > 9:
+        return None
+    return 2 * lines
 
 
 def _parse_lines(lines: Iterable[str]) -> Graph:

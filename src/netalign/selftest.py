@@ -45,13 +45,22 @@ def _draws_checked(checked: int, draws: int) -> str:
     return f"{checked} of {draws} draws ({draws - checked} empty pairs skipped)"
 
 
+def _draw_size(k: int, max_n: int) -> int:
+    """Draw k's vertex count: 2 and 3 once each, then 4..`max_n` in turn, as
+    n = 2 and 3 have only a handful of distinct graph pairs; 2..`max_n` in
+    turn when `max_n` < 4."""
+    if max_n < 4:
+        return 2 + k % (max_n - 1)
+    return 2 + k if k < 2 else 4 + (k - 2) % (max_n - 3)
+
+
 def suite_dense_equivalence(max_n: int, seed: int, draws: int = 40) -> SuiteResult:
     """The operator's factored product `apply` vs the loop-built dense matrix."""
     rng = RngSeed(mix64(seed, 101)).generator()
     worst = 0.0
     checked = 0
     for k in range(draws):
-        n = 2 + k % (max_n - 1)
+        n = _draw_size(k, max_n)
         g1, g2 = _random_pair(n, mix64(seed, 11, k))
         try:
             params = _params_for(g1, g2)
@@ -134,7 +143,7 @@ def suite_eigen_residual(max_n: int, seed: int, draws: int = 20) -> SuiteResult:
     worst = 0.0
     checked = 0
     for k in range(draws):
-        n = 2 + k % (max_n - 1)
+        n = _draw_size(k, max_n)
         g1, g2 = _random_pair(n, mix64(seed, 13, k))
         try:
             params = _params_for(g1, g2)

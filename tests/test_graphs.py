@@ -663,15 +663,30 @@ def edge_list_texts(draw):
     return "".join(text + end for text, end in zip(lines, ends))
 
 
+def same_graph(a, b):
+    """Both None, or graphs with equal adjacency and edge-index bytes."""
+    if a is None or b is None:
+        return a is b
+    return (a.adjacency.tobytes() == b.adjacency.tobytes()
+            and a.edge_index.tobytes() == b.edge_index.tobytes())
+
+
 def check_agrees_with_loop(text):
     """The whole-text pass returns the loop's graph or None, None whenever the
     loop raises, and `parse_edge_list` does what the loop does, for `text`
-    and for streams and iterables of it."""
+    and for streams and iterables of it. A body the byte check reads as
+    plain is one the `_ODD_LINE` search finds nothing in, and the pass
+    returns what it returns with the byte check off."""
     with mock.patch.object(graphs, "MAX_EDGE_LIST_VERTICES", LIMIT):
         expected = outcome(graphs._parse_lines, io.StringIO(text))
         fast = graphs._parse_whole(text)
         assert fast is None or fast == expected  # a Graph never equals an error
         assert outcome(parse_edge_list, text) == expected
+        head = graphs._HEADER.match(text)
+        if head and graphs._plain_runs(text[head.end():]) is not None:
+            assert graphs._ODD_LINE.search(text[head.end():]) is None
+        with mock.patch.object(graphs, "_plain_runs", return_value=None):
+            assert same_graph(graphs._parse_whole(text), fast)
 
         # A stream, or any iterable of strings, is read as the lines it
         # yields: whatever its newline mode cuts, or pieces of 7 characters.
@@ -695,6 +710,12 @@ class TestWholeTextParse:
     @example("n 40")
     @example("n 41\n0 1\n")
     @example("n 3\r0 1\r")
+    @example("n 40\n129 \n0")  # deleting digits hides a last line without "\n"
+    @example("n 3\n0\t1\n1 2\n")
+    @example("n 3\r\n0 1\r\n1 2\r\n")
+    @example("n 3\n0  1\n")
+    @example("n 3\n0000000001 2\n")  # 10 digits: the loop reads it, the pass defers
+    @example("n 3\n\u0661 2\n0 1\n")
     def test_returns_the_loops_graph_or_defers(self, text):
         check_agrees_with_loop(text)
 
@@ -702,7 +723,7 @@ class TestWholeTextParse:
         "", " \t ", "1 2 3", "12", "04", "007", "#0 1", "# c", "0 1 # c", "0 1#", "+3 1",
         "1_0 2", "\u0663 1", "1 \u0661\u0660", "1\x0c2", "\x0c1 2", "1 2\x0c", "1\u00a02",
         "1\x0b2", "1\x1c2", "1,2", "n 3", "1 1", "0 40", "-1 2", "1234567890 1",
-        "1 2\r", "\r1 2", "1\r2", "1 2\r\r", "0 1\r2 3", "0 1\r\r2 3", "\x85",
+        "1 2\r", "\r1 2", "1\r2", "1 2\r\r", "0 1\r2 3", "0 1\r\r2 3", "\x85", "5 ", "\t5",
     ])
     def test_lone_quirk_in_plain_text(self, line):
         check_agrees_with_loop(f"n 40\n0 1\n{line}\n2 3\n")
@@ -716,6 +737,24 @@ class TestWholeTextParse:
     def test_reads_plain_texts_itself(self, text):
         fast = graphs._parse_whole(text)
         assert fast is not None and fast == graphs._parse_lines(io.StringIO(text))
+
+    @pytest.mark.parametrize("ending", ["space", "tab", "crlf"])
+    def test_plain_text_skips_the_search(self, ending):
+        # `format_edge_list` output, also with tabs or CRLF endings, is read
+        # by the byte check alone; one blank line sends it to the search.
+        text = format_edge_list(generate_er(40, 0.2, RngSeed(3)))
+        text = {"space": text, "tab": text.replace(" ", "\t"),
+                "crlf": text.replace("\n", "\r\n")}[ending]
+        expected = graphs._parse_lines(io.StringIO(text))
+        searching = mock.Mock(search=mock.Mock(side_effect=AssertionError("searched")))
+        with mock.patch.object(graphs, "_ODD_LINE", searching):
+            assert same_graph(graphs._parse_whole(text), expected)
+            assert same_graph(parse_edge_list(text), expected)
+        blank = text.replace("\n", "\n\n", 1)
+        spy = mock.Mock(wraps=graphs._ODD_LINE)
+        with mock.patch.object(graphs, "_ODD_LINE", spy):
+            assert same_graph(graphs._parse_whole(blank), expected)
+        assert spy.search.call_count == 1
 
     @pytest.mark.parametrize("text", [
         f"n {MAX_EDGE_LIST_VERTICES + 1}\n0 1\n", f"n {MAX_EDGE_LIST_VERTICES}\n3 3\n",
