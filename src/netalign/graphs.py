@@ -454,9 +454,9 @@ def _edge_graph(n: int, rows, cols) -> Graph:
 # hold two ASCII-digit ids of at most 9 digits (int64 holds them) between
 # spaces and tabs, "\r" allowed before "\n". One search finds any other line;
 # its first branch, the usual line, is the one the regex engine runs fastest.
-# A body whose every line is that usual line with one blank between the ids
-# (`format_edge_list` writes no other) skips the search: `_plain_runs` tells
-# it by two byte passes, and each of its lines matches the first branch.
+# A body that is exactly `format_edge_list` output (each line two ids, one
+# space between them, "\n") skips the search: `_plain_runs` tells it by two
+# byte passes, and each of its lines matches the first branch.
 _HEADER = re.compile(r"[ \t]*n[ \t]+([0-9]{1,9})[ \t]*\r?(?=\n|\Z)")
 _ODD_LINE = re.compile(r"\n(?![0-9]{1,9}[ \t]+[0-9]{1,9}\r?\n"
                        r"|[ \t]*(?:[0-9]{1,9}[ \t]+[0-9]{1,9}[ \t]*)?\r?(?:\n|\Z))")
@@ -478,22 +478,24 @@ def parse_edge_list(text: str | IO[str]) -> Graph:
 
 def _parse_whole(text: str) -> Graph | None:
     r"""The graph of a plain text with ids in range and no self-loop, else None
-    (the loop then reports the error); never raises. A body of only "i j"
-    lines, each ended by "\n" or "\r\n" (`_plain_runs`), skips the
-    `_ODD_LINE` search: each such line matches the search's first branch, so
-    it would find nothing."""
+    (the loop then reports the error); never raises. A body of only "i j\n"
+    lines (`_plain_runs`) skips the `_ODD_LINE` search: each such line
+    matches the search's first branch, so it would find nothing."""
     head = _HEADER.match(text)
     n = int(head[1]) if head else 0
     if not 1 <= n <= MAX_EDGE_LIST_VERTICES:
         return None
     body = text[head.end():]
-    runs = _plain_runs(body)
+    if not body.isascii():  # the search would find the line of a non-ASCII character
+        return None
+    raw = body.encode("ascii")
+    # Once either check passes, the body's only bytes at or above "0" are
+    # digits, and it starts with "\n": one id per run of them.
+    digit = np.frombuffer(raw, dtype=np.uint8) >= ord("0")
+    runs = _plain_runs(raw, digit)
     if runs is None:
         if _ODD_LINE.search(body):
             return None
-        # One id per run of digits, the body's only bytes at or above "0"
-        # (it starts with "\n").
-        digit = np.frombuffer(body.encode("ascii"), dtype=np.uint8) >= ord("0")
         runs = np.count_nonzero(digit[1:] > digit[:-1])
     # fromstring reads blank text as [0]: ask for one id per run of digits.
     ids = np.fromstring(body, dtype=np.int64, sep=" ")
@@ -503,27 +505,19 @@ def _parse_whole(text: str) -> Graph | None:
     return _edge_graph(n, rows, cols)
 
 
-_TAB_TO_SPACE = bytes.maketrans(b"\t", b" ")
-
-
-def _plain_runs(body: str) -> int | None:
-    r"""The number of ids in `body` when each of its lines is two ids of 1-9
-    ASCII digits, one space or tab between them, ended by "\n" or "\r\n";
-    else None. Such a body, less its digits and "\r", is "\n" and then one
-    " \n" a line; every "\r" stands before a "\n"; and its digit runs, none
-    longer than 9, number two a line."""
-    if not (body.isascii() and body.endswith("\n")):
+def _plain_runs(raw: bytes, digit: np.ndarray) -> int | None:
+    r"""The number of ids in the body `raw` when each of its lines is two ids
+    of 1-9 ASCII digits, one space between them, ended by "\n" (what
+    `format_edge_list` writes); else None. `digit` marks its bytes at or
+    above "0". Such a body, less its digits, is "\n" and then one " \n" a
+    line, and those bytes stand 2 to 10 apart, one id between each two."""
+    spaced = raw.translate(None, b"0123456789")
+    if not raw.endswith(b"\n") or spaced != b"\n" + b" \n" * (len(spaced) // 2):
         return None
-    raw = body.encode("ascii")
-    spaced = raw.translate(_TAB_TO_SPACE, b"0123456789\r")
-    lines = len(spaced) // 2
-    if spaced != b"\n" + b" \n" * lines or raw.count(b"\r") != raw.count(b"\r\n"):
+    gaps = np.diff(np.flatnonzero(~digit))
+    if gaps.size == 0 or gaps.min() < 2 or gaps.max() > 10:
         return None
-    digit = np.frombuffer(raw, dtype=np.uint8) >= ord("0")
-    bounds = np.flatnonzero(digit[1:] != digit[:-1])  # each run's start, then its end
-    if bounds.size != 4 * lines or (bounds[1::2] - bounds[0::2]).max(initial=0) > 9:
-        return None
-    return 2 * lines
+    return gaps.size
 
 
 def _parse_lines(lines: Iterable[str]) -> Graph:
