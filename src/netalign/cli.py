@@ -213,10 +213,10 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from .selftest import check_max_n, run_all_suites
+    from .selftest import check_args, run_all_suites
 
     try:
-        check_max_n(args.max_n)
+        check_args(args.max_n, args.seed)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

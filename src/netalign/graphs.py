@@ -450,54 +450,36 @@ def _edge_graph(n: int, rows, cols) -> Graph:
     return Graph._trusted(adj, flat[np.diff(flat, prepend=-1) != 0])
 
 
-# `_parse_whole` reads only a header on line 1, then lines that are blank or
-# hold two ASCII-digit ids of at most 9 digits (int64 holds them) between
-# spaces and tabs, "\r" allowed before "\n". One search finds any other line;
-# its first branch, the usual line, is the one the regex engine runs fastest.
-# A body that is exactly `format_edge_list` output (each line two ids, one
-# space between them, "\n") skips the search: `_plain_runs` tells it by two
-# byte passes, and each of its lines matches the first branch.
+# The header line `_parse_whole` reads. The loop reads every other first
+# line, a count of 10 or more digits among them.
 _HEADER = re.compile(r"[ \t]*n[ \t]+([0-9]{1,9})[ \t]*\r?(?=\n|\Z)")
-_ODD_LINE = re.compile(r"\n(?![0-9]{1,9}[ \t]+[0-9]{1,9}\r?\n"
-                       r"|[ \t]*(?:[0-9]{1,9}[ \t]+[0-9]{1,9}[ \t]*)?\r?(?:\n|\Z))")
 
 
 def parse_edge_list(text: str | IO[str]) -> Graph:
     """Parse the edge-list text format documented in the module docstring.
-    A plain text is read in a few whole-text passes, any other by the loop
-    that defines the format and gives each error its line number."""
+    A `str` whose body is what `format_edge_list` writes is read in a few
+    whole-text passes; any other text, and every stream, by the loop that
+    defines the format and gives each error its line number."""
     if isinstance(text, str):
-        lines, graph = io.StringIO(text), _parse_whole(text)
-    else:
-        lines = list(text)
-        whole = "".join(lines)
-        # `_parse_whole` splits at "\n": skip it for a stream split elsewhere.
-        graph = _parse_whole(whole) if lines == whole.splitlines(True) else None
-    return graph if graph is not None else _parse_lines(lines)
+        graph = _parse_whole(text)
+        if graph is not None:
+            return graph
+        text = io.StringIO(text)
+    return _parse_lines(text)
 
 
 def _parse_whole(text: str) -> Graph | None:
-    r"""The graph of a plain text with ids in range and no self-loop, else None
-    (the loop then reports the error); never raises. A body of only "i j\n"
-    lines (`_plain_runs`) skips the `_ODD_LINE` search: each such line
-    matches the search's first branch, so it would find nothing."""
+    """The graph of a text whose body is plain (`_plain_runs`), with ids in
+    range and no self-loop; else None, and the loop reads it. Never raises."""
     head = _HEADER.match(text)
     n = int(head[1]) if head else 0
     if not 1 <= n <= MAX_EDGE_LIST_VERTICES:
         return None
     body = text[head.end():]
-    if not body.isascii():  # the search would find the line of a non-ASCII character
-        return None
-    raw = body.encode("ascii")
-    # Once either check passes, the body's only bytes at or above "0" are
-    # digits, and it starts with "\n": one id per run of them.
-    digit = np.frombuffer(raw, dtype=np.uint8) >= ord("0")
-    runs = _plain_runs(raw, digit)
+    # A non-ASCII character becomes "?", which the byte check rejects.
+    runs = _plain_runs(body.encode("ascii", "replace"))
     if runs is None:
-        if _ODD_LINE.search(body):
-            return None
-        runs = np.count_nonzero(digit[1:] > digit[:-1])
-    # fromstring reads blank text as [0]: ask for one id per run of digits.
+        return None
     ids = np.fromstring(body, dtype=np.int64, sep=" ")
     rows, cols = ids[0::2], ids[1::2]
     if ids.size != runs or (ids >= n).any() or (rows == cols).any():
@@ -505,16 +487,16 @@ def _parse_whole(text: str) -> Graph | None:
     return _edge_graph(n, rows, cols)
 
 
-def _plain_runs(raw: bytes, digit: np.ndarray) -> int | None:
-    r"""The number of ids in the body `raw` when each of its lines is two ids
-    of 1-9 ASCII digits, one space between them, ended by "\n" (what
-    `format_edge_list` writes); else None. `digit` marks its bytes at or
-    above "0". Such a body, less its digits, is "\n" and then one " \n" a
-    line, and those bytes stand 2 to 10 apart, one id between each two."""
+def _plain_runs(raw: bytes) -> int | None:
+    r"""The number of ids in the body `raw` when it is "\n" and then lines of
+    two ids of 1-9 ASCII digits, one space between them, each ended by "\n"
+    (what `format_edge_list` writes after its header); else None. Such a
+    body, less its digits, is "\n" and then one " \n" a line, and those
+    bytes stand 2 to 10 apart, one id between each two."""
     spaced = raw.translate(None, b"0123456789")
     if not raw.endswith(b"\n") or spaced != b"\n" + b" \n" * (len(spaced) // 2):
         return None
-    gaps = np.diff(np.flatnonzero(~digit))
+    gaps = np.diff(np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) < ord("0")))
     if gaps.size == 0 or gaps.min() < 2 or gaps.max() > 10:
         return None
     return gaps.size

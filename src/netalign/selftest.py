@@ -18,7 +18,7 @@ from ._kernels import extension_module
 from .graphs import RngSeed, generate_er
 from .harness import make_instance, mix64
 
-__all__ = ["SuiteResult", "check_max_n", "run_all_suites"]
+__all__ = ["SuiteResult", "check_args", "run_all_suites"]
 
 linear_sum_assignment = extension_module("scipy.optimize._lsap").linear_sum_assignment
 
@@ -183,15 +183,17 @@ def suite_noiseless_recovery(seed: int, trials: int = 5, n: int = 15) -> SuiteRe
                        "by both pipelines")
 
 
-def check_max_n(max_n: int) -> None:
-    """The dense oracles' size rule: `max_n` must lie in 2..`DENSE_ORACLE_CAP`."""
+def check_args(max_n: int, seed: int) -> None:
+    """The suites' argument rules: the dense oracles' size `max_n` must lie
+    in 2..`DENSE_ORACLE_CAP`, and `seed` must be a `RngSeed` base seed."""
     if not 2 <= max_n <= operator.DENSE_ORACLE_CAP:
         raise ValueError(f"max-n must lie in 2..{operator.DENSE_ORACLE_CAP}, got {max_n}")
+    RngSeed(seed)
 
 
 def run_all_suites(max_n: int = 6, seed: int = 0) -> list[SuiteResult]:
-    """Every suite, with dense oracles of size 2..`max_n` (`check_max_n`)."""
-    check_max_n(max_n)
+    """Every suite, with dense oracles of size 2..`max_n` (`check_args`)."""
+    check_args(max_n, seed)
     return [
         suite_dense_equivalence(max_n, seed),
         suite_matching_oracle(seed, n=min(max_n, 6)),

@@ -294,6 +294,16 @@ class TestSelftest:
             selftest.run_all_suites(max_n=max_n)
         assert err == f"error: {exc.value}\n"
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed, capsys):
+        code, out, err = run_cli(["selftest", "--seed", str(seed)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: base_seed must be an unsigned 64-bit integer, got {seed}\n"
+        with pytest.raises(ValueError) as exc:
+            selftest.run_all_suites(seed=seed)
+        assert err == f"error: {exc.value}\n"
+
     def test_corrupted_scoring_detected(self, capsys, monkeypatch):
         original = operator.AlignmentOperator.apply
 

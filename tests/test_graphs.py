@@ -1,5 +1,6 @@
 import io
 import pickle
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -210,11 +211,13 @@ class TestEdgeIndex:
     def test_set_from_the_pairs(self, case):
         # A graph built from edge pairs gets its index from them, with
         # repeats in either orientation collapsed: by both parse routes (a
-        # comment line sends the text to the per-line loop) and from_edges.
+        # comment line, or a body with no edge line, sends the text to the
+        # per-line loop) and from_edges.
         n, pairs = case
-        text = f"n {n}" + "".join(f"\n{i} {j}" for i, j in pairs)
+        text = f"n {n}\n" + "".join(f"{i} {j}\n" for i, j in pairs)
         looped = "# a comment\n" + text
-        assert graphs._parse_whole(text) is not None and graphs._parse_whole(looped) is None
+        assert (graphs._parse_whole(text) is not None) == bool(pairs)
+        assert graphs._parse_whole(looped) is None
         for g in (parse_edge_list(text), parse_edge_list(looped), Graph.from_edges(n, pairs)):
             index = g._edge_index
             assert index is not None and g.edge_index is index
@@ -674,22 +677,19 @@ def same_graph(a, b):
 def check_agrees_with_loop(text):
     """The whole-text pass returns the loop's graph or None, None whenever the
     loop raises, and `parse_edge_list` does what the loop does, for `text`
-    and for streams and iterables of it. A body the byte check reads as
-    plain is one the `_ODD_LINE` search finds nothing in, and the pass
-    returns what it returns with the byte check off."""
+    and for streams and iterables of it. The byte check accepts exactly the
+    bodies `format_edge_list` writes and counts their ids."""
     with mock.patch.object(graphs, "MAX_EDGE_LIST_VERTICES", LIMIT):
         expected = outcome(graphs._parse_lines, io.StringIO(text))
         fast = graphs._parse_whole(text)
         assert fast is None or fast == expected  # a Graph never equals an error
         assert outcome(parse_edge_list, text) == expected
         head = graphs._HEADER.match(text)
-        body = text[head.end():] if head else ""
-        if body.isascii():  # `_parse_whole` defers any other body first
-            raw = body.encode("ascii")
-            if graphs._plain_runs(raw, np.frombuffer(raw, np.uint8) >= ord("0")) is not None:
-                assert graphs._ODD_LINE.search(body) is None
-        with mock.patch.object(graphs, "_plain_runs", return_value=None):
-            assert same_graph(graphs._parse_whole(text), fast)
+        if head:
+            body = text[head.end():]
+            plain = re.fullmatch(r"\n(?:[0-9]{1,9} [0-9]{1,9}\n)+", body)
+            runs = graphs._plain_runs(body.encode("ascii", "replace"))
+            assert runs == (2 * body.count("\n") - 2 if plain else None)
 
         # A stream, or any iterable of strings, is read as the lines it
         # yields: whatever its newline mode cuts, or pieces of 7 characters.
@@ -732,40 +732,27 @@ class TestWholeTextParse:
         check_agrees_with_loop(f"n 40\n0 1\n{line}\n2 3\n")
         check_agrees_with_loop(f"n 40\n0 1\n{line}")
 
-    @pytest.mark.parametrize("text", [
-        format_edge_list(generate_er(40, 0.2, RngSeed(3))),
-        "n 4\r\n 0\t1 \r\n\r\n002   3",
-        "n 2",
-    ])
-    def test_reads_plain_texts_itself(self, text):
-        fast = graphs._parse_whole(text)
-        assert fast is not None and fast == graphs._parse_lines(io.StringIO(text))
+    def test_reads_plain_texts_itself(self):
+        text = format_edge_list(generate_er(40, 0.2, RngSeed(3)))
+        assert same_graph(graphs._parse_whole(text), graphs._parse_lines(io.StringIO(text)))
 
-    def test_plain_text_skips_the_search(self):
-        # `format_edge_list` output is read by the byte check alone.
+    @pytest.mark.parametrize("change", [
+        "blank line", "tabs", "crlf", "comment", "no final newline", "stream"])
+    def test_other_texts_take_the_loop(self, change):
+        # The same text with any change from `format_edge_list` output, and
+        # any stream, is read by the loop alone.
         text = format_edge_list(generate_er(40, 0.2, RngSeed(3)))
         expected = graphs._parse_lines(io.StringIO(text))
-        searching = mock.Mock(search=mock.Mock(side_effect=AssertionError("searched")))
-        with mock.patch.object(graphs, "_ODD_LINE", searching):
-            assert same_graph(graphs._parse_whole(text), expected)
-            assert same_graph(parse_edge_list(text), expected)
-
-    @pytest.mark.parametrize("change", ["blank line", "tab", "crlf"])
-    def test_other_texts_take_the_search(self, change):
-        # The same text with one blank line, tab separators or CRLF endings
-        # is searched once and still read by the whole-text pass.
-        text = format_edge_list(generate_er(40, 0.2, RngSeed(3)))
-        expected = graphs._parse_lines(io.StringIO(text))
-        text = {"blank line": text.replace("\n", "\n\n", 1), "tab": text.replace(" ", "\t"),
-                "crlf": text.replace("\n", "\r\n")}[change]
-        spy = mock.Mock(wraps=graphs._ODD_LINE)
-        with mock.patch.object(graphs, "_ODD_LINE", spy):
-            assert same_graph(graphs._parse_whole(text), expected)
-        assert spy.search.call_count == 1
+        text = {"blank line": text.replace("\n", "\n\n", 1), "tabs": text.replace(" ", "\t"),
+                "crlf": text.replace("\n", "\r\n"), "comment": text.replace("\n", "\n# c\n", 1),
+                "no final newline": text[:-1], "stream": io.StringIO(text)}[change]
+        if isinstance(text, str):
+            assert graphs._parse_whole(text) is None
+        assert same_graph(parse_edge_list(text), expected)
 
     @pytest.mark.parametrize("text", [
         f"n {MAX_EDGE_LIST_VERTICES + 1}\n0 1\n", f"n {MAX_EDGE_LIST_VERTICES}\n3 3\n",
-        "n 0\n", "# graph\nn 3\n0 1\n", "n 3\n\n",
+        "n 0\n", "# graph\nn 3\n0 1\n", "n 3\n\n", "n 4\r\n 0\t1 \r\n\r\n002   3", "n 2",
     ])
     def test_defers_without_allocating(self, text):
         tracemalloc.start()
