@@ -234,8 +234,9 @@ class Graph:
         Read off `edge_index` on first use and cached, and the upper-triangle
         pairs with them from the same split."""
         if self._csr is None:
-            n = self.n
-            rows, cols = np.divmod(self.edge_index, n)
+            n, index = self.n, self.edge_index
+            rows = index // n  # np.divmod's arrays, without its second division
+            cols = index - rows * n
             indptr = np.zeros(n + 1, dtype=np.int32)
             np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
             self._csr = _frozen(indptr, cols.astype(np.int32), np.ones(cols.size))

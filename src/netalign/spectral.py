@@ -19,13 +19,17 @@ representations of the iterate, chosen from the start and from n alone:
   is at most (t+1) x (t+1). With q0 = 1/sqrt(n) the first basis vector and
   each basis grown by one vector, A maps C to
   W = k H1 C H2^T + d n² C00 e0 e0^T, where H_i = Q_i'^T M_i Q_i =
-  Q_i'^T G_i Q_i + c n e0 e0^T. Norms, the Rayleigh quotient, the residual
+  Q_i'^T G_i Q_i + c n e0 e0^T and Q_i' is Q_i with the next basis vector.
+  H_i is never recomputed from the basis. Gram-Schmidt (twice) of G_i q
+  against Q_i, for the newest column q, gives the coefficients and the
+  remainder's norm that are H_i's new column (Arnoldi's G Q = Q' H), and
+  c n enters H_i[0, 0] once. Norms, the Rayleigh quotient, the residual
   and the iterate difference are Frobenius quantities of C and W. An
   iteration then costs one sparse matvec per graph, on the graph's cached
-  CSR arrays (`operator._csr_product`), and Gram-Schmidt (twice) against
-  the basis, O(e + n t), instead of an O(n³) `apply`. Each basis grows by
-  copying into a new C-order array one column wider, so every BLAS operand
-  keeps its shape, order and strides.
+  CSR arrays (`operator._csr_product`), and that Gram-Schmidt, O(e + n t),
+  instead of an O(n³) `apply`. The next basis vector joins Q_i only when
+  the next product needs it, by copying into a new C-order array one
+  column wider, so every BLAS operand keeps its shape, order and strides.
   At the end V is built once as P Q2^T, with P = Q1 C of shape n x K2;
   the result keeps P and Q2, from which EigenAlign's rounding takes its
   row and column statistics in O(n K2) (`rounding`). A basis stops
@@ -39,8 +43,8 @@ difference only where they can decide the stop (`_power_iteration`).
 Both representations take the same iterates, stopping rule and iteration
 counts; their results agree to rounding (~1e-15 relative), not bit for bit.
 `DENSE_MAX_N` is the only size switch between them. The Krylov loop takes
-2-4x the `apply` loop's time at n <= 50 and 1% of it at n = 600; the bound
-is the largest n of the reduced sweep. `align` keeps eigenvectors up to it.
+1.7-3.6x the `apply` loop's time at n <= 50 and 1% of it at n = 600; the
+bound is the largest n of the reduced sweep. `align` keeps eigenvectors up to it.
 """
 
 from __future__ import annotations
@@ -210,45 +214,54 @@ def _result(v, value, iterations, residual, converged, factors=None) -> EigenRes
 
 class _KrylovBasis:
     """Orthonormal basis Q of the Krylov space K(G, 1) of one graph, grown by
-    `grow`, with G applied to every column but (while it still grows) the
-    newest."""
+    `grow`, with H = Q'^T (G + c J) Q kept from the Gram-Schmidt coefficients
+    (module docstring). Q holds the columns G has been applied to; Q' adds
+    the next basis vector, which joins Q only when the next `grow` needs it."""
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, shift: float):
+        """`shift` is c n, H's [0, 0] share of c J: Q'^T 1 = sqrt(n) e0."""
         self._graph = graph
+        self._shift = shift
         self.q = np.full((graph.n, 1), 1.0 / math.sqrt(graph.n))
         self._newest = self.q[:, 0]  # contiguous, unlike later columns of q
-        self._gq = np.empty((graph.n, 0))
-        self._closed = False
+        self.h = np.empty((1, 0))
 
     def grow(self) -> None:
-        """Apply G to the newest column and append the part of the result
-        orthogonal to Q, unless that part is zero to rounding: then Q spans
-        an invariant subspace of G and never grows again."""
-        if self._closed:
+        """Apply G to the newest basis vector, appended to Q first if it is
+        pending, and extend H by that column. The part of the result
+        orthogonal to Q becomes the pending vector, its norm H's new row,
+        unless it is zero to rounding: then Q spans an invariant subspace of
+        G, H is square, and neither grows again."""
+        rows, cols = self.h.shape
+        if rows == cols:
             return
         q = self.q
+        if q.shape[1] < rows:
+            q = self.q = _append_column(q, self._newest)
+        m = q.shape[1]
         z = _csr_product(self._graph, self._newest)
-        self._gq = _append_column(self._gq, z)
-        r = z - q @ (q.T @ z)
-        r -= q @ (q.T @ r)
+        # G q_newest = Q coef + r, from two Gram-Schmidt passes.
+        coef = q.T @ z
+        r = z - q @ coef
+        correction = q.T @ r
+        r -= q @ correction
+        coef += correction
         n = len(r)
         norm = math.sqrt(r @ r)
         # Each projection coefficient is an n-term sum, so a direction below
         # n eps ||z|| is indistinguishable from its rounding; n orthonormal
         # columns span R^n.
-        if norm <= n * _EPS * math.sqrt(z @ z) or q.shape[1] == n:
-            self._closed = True
-        else:
+        closes = norm <= n * _EPS * math.sqrt(z @ z) or m == n
+        h = np.zeros((m if closes else m + 1, m))
+        h[:m, :-1] = self.h
+        h[:m, -1] = coef
+        if m == 1:
+            h[0, 0] += self._shift
+        if not closes:
+            h[m, -1] = norm
             r /= norm
             self._newest = r
-            self.q = _append_column(q, r)
-
-    def projection(self, cn: float) -> np.ndarray:
-        """H = Q^T (G + c J) Q_old, where Q_old is Q without the column
-        `grow` may just have added; `cn` is c n, since Q^T 1 = sqrt(n) e0."""
-        h = self.q.T @ self._gq
-        h[0, 0] += cn
-        return h
+        self.h = h
 
 
 def _append_column(a: np.ndarray, column: np.ndarray) -> np.ndarray:
@@ -266,25 +279,24 @@ def _krylov_top_eigenvector(op: AlignmentOperator, tol: float,
     coordinates (module docstring), for any n."""
     n = op.n
     k, c, d = op.kronecker_scalars
-    bases = (_KrylovBasis(op.g1), _KrylovBasis(op.g2))
-
-    def coefficients(flat):
-        """The matrix C of V = Q1 C Q2^T, from its row-major entries."""
-        return flat.reshape(bases[0].q.shape[1], bases[1].q.shape[1])
+    bases = (_KrylovBasis(op.g1, c * n), _KrylovBasis(op.g2, c * n))
 
     def product(flat):
-        C = coefficients(flat)
         for basis in bases:
             basis.grow()
-        h1, h2 = (basis.projection(c * n) for basis in bases)
+        h1, h2 = bases[0].h, bases[1].h
+        C = flat.reshape(h1.shape[1], h2.shape[1])
         W = k * (h1 @ C @ h2.T)
         W[0, 0] += d * n * n * C[0, 0]
         padded = np.zeros_like(W)
         padded[:C.shape[0], :C.shape[1]] = C
         return padded.ravel(), W.ravel()
 
-    # The start 1/n 1⊗1 is q0 q0^T: C = [[1]].
+    # The start 1/n 1⊗1 is q0 q0^T: C = [[1]]. The returned iterate is
+    # padded with zeros for the pending vectors, which Q leaves out.
     c_flat, *stats = _power_iteration(product, np.ones(1), tol, max_iters)
-    P, Q2 = bases[0].q @ coefficients(c_flat), bases[1].q
+    Q1, Q2 = bases[0].q, bases[1].q
+    C = c_flat.reshape(bases[0].h.shape[0], bases[1].h.shape[0])
+    P = Q1 @ C[:Q1.shape[1], :Q2.shape[1]]
     V = P @ Q2.T
     return _result(V.reshape(op.dim), *stats, factors=(P, Q2))
