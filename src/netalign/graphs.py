@@ -212,7 +212,7 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, lexicographically sorted."""
         # Not cached, so formatting a graph keeps nothing.
-        rows, cols = _upper(*np.divmod(self.edge_index, self.n))
+        rows, cols = _upper(*_split(self.edge_index, self.n))
         return list(zip(rows.tolist(), cols.tolist()))
 
     @property
@@ -234,9 +234,8 @@ class Graph:
         Read off `edge_index` on first use and cached, and the upper-triangle
         pairs with them from the same split."""
         if self._csr is None:
-            n, index = self.n, self.edge_index
-            rows = index // n  # np.divmod's arrays, without its second division
-            cols = index - rows * n
+            n = self.n
+            rows, cols = _split(self.edge_index, n)
             indptr = np.zeros(n + 1, dtype=np.int32)
             np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
             self._csr = _frozen(indptr, cols.astype(np.int32), np.ones(cols.size))
@@ -248,7 +247,7 @@ class Graph:
         """Read-only int64 (rows, cols) of the edges as pairs i < j, in the
         order of `edges`; read off `edge_index` on first use and cached."""
         if self._upper is None:
-            self._upper = _upper(*np.divmod(self.edge_index, self.n))
+            self._upper = _upper(*_split(self.edge_index, self.n))
         return self._upper
 
     def csr(self) -> sp.csr_array:
@@ -286,6 +285,13 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+def _split(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of flat positions i*n + j: np.divmod's arrays, from one
+    floor division and a subtraction instead of its second division."""
+    rows = index // n
+    return rows, index - rows * n
 
 
 def _upper(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -335,10 +335,34 @@ class TestKrylovLoop:
         basis = spectral._KrylovBasis(g, 0.0)
         for _ in range(12):
             basis.grow()
-        q = basis.q
         # The 13th vector is pending until a 13th grow.
-        assert q.shape == (200, 12) and basis.h.shape == (13, 12)
-        np.testing.assert_allclose(q.T @ q, np.eye(12), rtol=0, atol=1e-14)
+        assert basis.q.shape == (200, 12) and basis.h.shape == (13, 12)
+        q = np.column_stack((basis.q, basis._newest))
+        assert q.shape == (200, 13)
+        np.testing.assert_allclose(q.T @ q, np.eye(13), rtol=0, atol=1e-14)
+
+    def test_h_column_keeps_arnoldi_relation_off_an_orthonormal_basis(self):
+        # G q = Q h + norm q_next holds for the coefficients of both
+        # Gram-Schmidt passes whatever Q's orthogonality, and the second
+        # pass leaves q_next orthogonal to Q to second order. On a basis
+        # moved 1e-9 off orthonormal, a column without the second pass's
+        # share, or a single pass, misses by about 1e-9 ||G q||; each holds
+        # here to about 0.01 n eps ||G q||. (On the loop's own bases the
+        # second pass's share is below H's rounding.)
+        g = generate_er(200, 0.05, RngSeed(709))
+        basis = spectral._KrylovBasis(g, 0.0)
+        for _ in range(6):
+            basis.grow()
+        basis.q = basis.q + 1e-9 * np.random.default_rng(0).standard_normal(basis.q.shape)
+        v = basis._newest.copy()
+        basis.grow()
+        q, h, q_next = basis.q, basis.h, basis._newest
+        assert h.shape == (8, 7) and np.array_equal(q[:, -1], v)
+        z = g.adjacency @ v
+        eps = np.finfo(np.float64).eps
+        bound = 200 * eps * np.linalg.norm(z)
+        assert np.abs(z - q @ h[:-1, -1] - h[-1, -1] * q_next).max() <= bound
+        assert np.abs(q.T @ q_next).max() <= 200 * eps
 
     @pytest.mark.parametrize("case", list(KRYLOV_CASES))
     def test_h_from_the_gram_schmidt_coefficients(self, case):
