@@ -11,10 +11,11 @@ matched edges (`AlignmentOperator.matched_objective`), which rises strictly
 with them.
 
 The projected step is a deterministic map on permutations, so once an iterate
-repeats an earlier one the rest of the run is a known cycle. PPA then stops
-computing and replays the cycle up to the cap: the result (permutation,
-objective, trajectory) is exactly what the capped loop would report, and
-`iterations` and `converged` keep their meaning (the cap, False).
+repeats an earlier one the rest of the run is a known cycle. PPA projects and
+scores each distinct permutation once and stops projecting at the first
+repeat; the rest of its log, up to the cap, is read off the cycle. The result
+(permutation, objective, trajectory) is exactly what the capped loop would
+report, and `iterations` and `converged` keep their meaning (the cap, False).
 
 Both pipelines start from the same eigenvector. Up to n = `DENSE_MAX_N`
 (every sweep cell) the last one is kept, keyed on the graphs' values and the
@@ -35,8 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph, Permutation, _is_number, matched_edges
-from .operator import (AlignmentOperator, compute_alpha, make_params, quadratic_form,
-                       DEFAULT_EPSILON)
+from .operator import AlignmentOperator, compute_alpha, make_params, DEFAULT_EPSILON
 from .rounding import _max_weight_matching, greedy_round, max_weight_matching
 from .spectral import (DEFAULT_MAX_ITERS, DEFAULT_TOL, DENSE_MAX_N, EigenResult,
                        top_eigenvector)
@@ -108,11 +108,10 @@ def _spectral_start(g1: Graph, g2: Graph,
     return start(g1, g2, cfg.epsilon, cfg.eigen_tol, cfg.eigen_max_iters)
 
 
-def _result(op: AlignmentOperator, perm: Permutation, iterations: int, converged: bool,
-            trajectory: np.ndarray | None = None) -> AlignmentResult:
-    """Both matchers' result for `perm`: its matched edges, counted once,
-    and their closed-form objective."""
-    matched = matched_edges(op.g1, op.g2, perm)
+def _result(op: AlignmentOperator, perm: Permutation, matched: int, iterations: int,
+            converged: bool, trajectory: np.ndarray | None = None) -> AlignmentResult:
+    """Both matchers' result for `perm`, which matches `matched` edges, with
+    their closed-form objective."""
     return AlignmentResult(permutation=perm, objective=op.matched_objective(matched),
                            matched_edges=matched, iterations=iterations,
                            converged=converged, trajectory=trajectory)
@@ -129,7 +128,8 @@ def eigen_align(g1: Graph, g2: Graph, cfg: AlignConfig = AlignConfig()) -> Align
         perm = _max_weight_matching(scores, out=scores, factors=eig._factors)
     else:
         perm = max_weight_matching(scores)
-    return _result(op, perm, eig.iterations, eig.converged)
+    return _result(op, perm, matched_edges(op.g1, op.g2, perm), eig.iterations,
+                   eig.converged)
 
 
 def projected_power_align(g1: Graph, g2: Graph,
@@ -144,54 +144,38 @@ def projected_power_align(g1: Graph, g2: Graph,
     Trajectory entry 0 logs that start rounding and entry 1 the first
     iterate, so the two always coincide.
     Terminates at a fixed point of the projected step or after
-    `ppa_max_iters` iterations (flagged, not an error); a cycle of period two
-    or more is replayed to the cap without further products or projections.
+    `ppa_max_iters` iterations (flagged, not an error); a cycle of period
+    two or more is read into the log up to the cap without further products,
+    projections or counts.
     """
     op, eig = _spectral_start(g1, g2, cfg)
-    n = op.n
-
-    def step(perm: Permutation) -> tuple[np.ndarray, float]:
-        return op.permutation_product(perm), quadratic_form(op, perm)
-
     cap = cfg.ppa_max_iters
-    current = greedy_round(eig.vector.reshape(n, n))
-    w, obj = step(current)
-    best_perm, best_obj = current, obj
-    trajectory: list[tuple[float, int]] = [(obj, 0)]
-    iterates = [current]             # iterates[k] is the permutation of entry k
-    seen: dict[bytes, int] = {}      # iterate of the projected map -> its index
-
+    iterates = [greedy_round(eig.vector.reshape(op.n, op.n))]  # each reached once
+    del eig  # n² floats, which above `DENSE_MAX_N` nothing else holds
+    counts = [matched_edges(op.g1, op.g2, iterates[0])]       # their matched edges
+    seen = {iterates[0].map.tobytes(): 0}                      # map bytes -> index
+    path = [0, 0]                    # trajectory entry -> index in `iterates`
     converged = False
-    while True:
-        k = len(iterates)
-        trajectory.append((obj, int(np.count_nonzero(current.map != iterates[-1].map))))
-        iterates.append(current)
-        seen[current.map.tobytes()] = k
-        if obj > best_obj:
-            best_perm, best_obj = current, obj
-        if k >= cap:
+    while len(path) <= cap:
+        nxt = greedy_round(op.permutation_product(iterates[-1]))
+        s = seen.setdefault(nxt.map.tobytes(), len(iterates))
+        if s < len(iterates):
+            # Iterate s recurs with period len(iterates) - s: a fixed point
+            # logs its confirming step, a longer cycle repeats to the cap.
+            period = len(iterates) - s
+            converged = period == 1
+            path += [s + j % period for j in range(1 if converged else cap + 1 - len(path))]
             break
-        nxt = greedy_round(w)
-        s = seen.get(nxt.map.tobytes())
-        if s == k:
-            converged = True
-            trajectory.append((obj, 0))  # confirming step reproduces the iterate
-            break
-        if s is not None:
-            # Iterate k+1 repeats iterate s, so iterates s..k recur with period
-            # k+1-s up to the cap. Every one of them has been scored, and the
-            # strict `>` keeps the best unchanged, so replay the log instead.
-            period = k + 1 - s
-            trajectory.append((trajectory[s][0],
-                               int(np.count_nonzero(nxt.map != current.map))))
-            for j in range(k + 2, cap + 1):
-                trajectory.append(trajectory[j - period])
-            current = iterates[s + (cap - s) % period]
-            break
-        current = nxt
-        w, obj = step(current)
+        iterates.append(nxt)
+        counts.append(matched_edges(op.g1, op.g2, nxt))
+        path.append(s)
 
-    log = np.array(trajectory, dtype=_TRAJECTORY_DTYPE)
+    steps = np.array(path)
+    maps = np.array([perm.map for perm in iterates])
+    log = np.empty(len(path), dtype=_TRAJECTORY_DTYPE)
+    log["objective"] = op.matched_objective(np.array(counts)[steps])
+    log["changed"] = np.count_nonzero(maps[steps] != maps[np.r_[0, steps[:-1]]], axis=1)
     log.flags.writeable = False
-    return _result(op, best_perm if cfg.return_best else current,
-                   len(trajectory) - 1, converged, log)
+    # The first entry with the largest objective, as a scan with a strict >.
+    chosen = path[int(log["objective"].argmax())] if cfg.return_best else path[-1]
+    return _result(op, iterates[chosen], counts[chosen], len(path) - 1, converged, log)

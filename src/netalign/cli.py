@@ -192,6 +192,10 @@ def cmd_match(args: argparse.Namespace) -> int:
     except DegenerateBalanceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory matching two {g1.n}-vertex graphs with {args.algo}",
+              file=sys.stderr)
+        return 1
     print(f"match: {args.algo} finished in {time.perf_counter() - parsed:.3f}s",
           file=sys.stderr)
     lines = [f"{i} -> {j}" for i, j in enumerate(result.permutation.map.tolist())]

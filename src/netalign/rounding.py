@@ -109,7 +109,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import extension_module
-from .graphs import Permutation
+from .graphs import Permutation, _split
 
 __all__ = ["max_weight_matching", "greedy_round"]
 
@@ -122,6 +122,8 @@ SORT_DUALS_MIN_N = 51
 # Smallest share of the double-centred scores' squared Frobenius norm that
 # the leading singular pair must carry for the sort-matching duals.
 SORT_DUALS_MIN_SHARE = 0.5
+# Rows of the greedy scan's order split into Python ints at a time.
+_GREEDY_CHUNK_ROWS = 64
 
 
 def _check_scores(scores: np.ndarray, factors=None) -> np.ndarray:
@@ -199,7 +201,7 @@ def _certified_sort_matching(t: np.ndarray, u: np.ndarray, v: np.ndarray,
     # positive g and, as delta <= bound, every cost <= delta.
     bound = np.nextafter(n * high, np.inf)
     floor = np.nextafter(np.nextafter(-bound, -np.inf) + u, -np.inf)
-    rows, cols = np.divmod(np.flatnonzero(t >= floor[:, None]), n)
+    rows, cols = _split(np.flatnonzero(t >= floor[:, None]), n)
     g = t[rows, cols] - u[rows]
     # Rounded up: a permutation below total 0 takes only costs <= delta.
     delta = np.nextafter(min(np.count_nonzero(g > 0), n) * high, np.inf)
@@ -301,23 +303,29 @@ def greedy_round(scores: np.ndarray) -> Permutation:
     Ties break toward the smallest linear index i*n + j, so the projection is
     deterministic. One stable argsort orders all n² entries; a single scan
     over that order, on Python lists rather than per-element numpy indexing,
-    then takes each entry whose row and column are both still free.
+    then takes each entry whose row and column are both still free. The
+    order is split into rows and columns `_GREEDY_CHUNK_ROWS` rows' worth
+    (64 n entries) at a time, so at most one chunk is held as Python ints.
     """
     s = _check_scores(scores)
     n = s.shape[0]
     # Stable sort on the negated values keeps equal entries in increasing
     # linear-index order, which implements the tie-break.
     order = np.argsort(-s.reshape(-1), kind="stable")
-    rows, cols = np.divmod(order, n)
     row_free = [True] * n
     col_free = [True] * n
     mapping = [0] * n
     assigned = 0
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if row_free[i] and col_free[j]:
-            mapping[i] = j
-            row_free[i] = col_free[j] = False
-            assigned += 1
-            if assigned == n:
-                break
+    chunk = _GREEDY_CHUNK_ROWS * n
+    for start in range(0, n * n, chunk):
+        rows, cols = _split(order[start:start + chunk], n)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            if row_free[i] and col_free[j]:
+                mapping[i] = j
+                row_free[i] = col_free[j] = False
+                assigned += 1
+                if assigned == n:
+                    break
+        if assigned == n:
+            break
     return Permutation._trusted(mapping)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import netalign.align as align
+import netalign.operator as operator
 import netalign.rounding as rounding
 from netalign.align import (AlignConfig, build_operator, eigen_align,
                             projected_power_align)
@@ -511,26 +512,27 @@ class TestPpaStartProduct:
         assert apply_calls == []
         assert_same_result(hit, projected_power_align(Graph(g1.adjacency), Graph(g2.adjacency)))
 
-    def test_start_rounding_is_projected_and_scored_once(self, monkeypatch):
-        # A run that is a fixed point at step 2: the start rounding (iterate
-        # 1) and its image, one product between them.
-        calls = {"greedy_round": 0, "permutation_product": 0}
-        product = align.AlignmentOperator.permutation_product
-
-        def counting_round(scores):
-            calls["greedy_round"] += 1
-            return greedy_round(scores)
-
-        def counting_product(op, perm):
-            calls["permutation_product"] += 1
-            return product(op, perm)
-
-        g1, g2 = pinned_instance("fixed_point")
-        monkeypatch.setattr(align, "greedy_round", counting_round)
-        monkeypatch.setattr(align.AlignmentOperator, "permutation_product", counting_product)
-        result = projected_power_align(g1, g2)
-        assert (result.iterations, result.converged) == (2, True)
-        assert calls == {"greedy_round": 2, "permutation_product": 1}
+    @pytest.mark.parametrize("cap", [1, 2, 3, 30, 60])
+    @pytest.mark.parametrize("name", sorted(PPA_STOP_PATTERNS))
+    def test_start_rounding_is_projected_and_scored_once(self, name, cap, monkeypatch):
+        # Every projection but the start rounding projects one product, none
+        # is taken at the cap, and each distinct permutation the run reaches
+        # has its matched edges counted once, whether `align` or (through
+        # `quadratic_form`) `operator` looks the name up.
+        g1, g2 = pinned_instance(name)
+        cfg = AlignConfig(ppa_max_iters=cap)
+        *_, iterates = capped_loop_reference(g1, g2, cfg)
+        calls = {"greedy_round": 0, "matched_edges": 0, "permutation_product": 0}
+        for owner, attr in ((align, "greedy_round"), (align, "matched_edges"),
+                            (operator, "matched_edges"),
+                            (align.AlignmentOperator, "permutation_product")):
+            def counting(*args, attr=attr, original=getattr(owner, attr)):
+                calls[attr] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, attr, counting)
+        projected_power_align(g1, g2, cfg)
+        assert calls["permutation_product"] == calls["greedy_round"] - 1
+        assert calls["matched_edges"] == len({mapping.tobytes() for mapping in iterates})
 
 
 class TestEstimators:

@@ -1,12 +1,16 @@
 import concurrent.futures
+import resource
+import subprocess
+import sys
 import types
 from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 
 from netalign import align, harness, operator, rounding, selftest
 from netalign.align import AlignConfig
-from netalign.graphs import Permutation
+from netalign.graphs import MAX_EDGE_LIST_VERTICES, Permutation
 from netalign.cli import _config_from, build_parser, main
 from netalign.harness import GridSpec
 
@@ -259,6 +263,33 @@ class TestMatch:
         assert code == 0 and out == ""
         assert out_path.read_text() == expected
         assert err.splitlines()[-1] == f"wrote {out_path}"
+
+    @pytest.mark.parametrize("algo,code", [("ppa", 1), ("eigenalign", 0)])
+    def test_out_of_memory_reported_as_error_line(self, tmp_path, algo, code):
+        # The parser's largest n under a 1.5 GiB address space. EigenAlign
+        # rounds its n² eigenvector (763 MiB) in place and peaked at
+        # 1.07 GiB; PPA's greedy start rounding needs a second n² array and
+        # runs out.
+        g = tmp_path / "g.txt"
+        g.write_text(f"n {MAX_EDGE_LIST_VERTICES}\n0 1\n1 2\n")
+        limit = 3 << 29
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "netalign", "match", "--g1", str(g), "--g2", str(g),
+             "--algo", algo, "--out", str(tmp_path / "out.txt")],
+            capture_output=True, text=True, preexec_fn=limit_address_space,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin",
+                 "OPENBLAS_NUM_THREADS": "1"})
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        if code:
+            assert result.stderr.splitlines()[-1] == (
+                f"error: out of memory matching two {MAX_EDGE_LIST_VERTICES}-vertex "
+                "graphs with ppa")
 
     def test_missing_file(self, tmp_path, capsys):
         g = self.write_path3(tmp_path, "g.txt")

@@ -72,12 +72,18 @@ class TestGreedyRound:
         sigma = greedy_round(np.ones((3, 3)))
         assert sigma == Permutation.identity(3)
 
-    def test_matches_hand_execution_on_random_draws(self):
+    def test_matches_hand_execution_on_random_draws(self, monkeypatch):
         rng = np.random.default_rng(8)
-        for _ in range(50):
-            scores = rng.standard_normal((5, 5))
-            assert np.array_equal(greedy_round(scores).map,
-                                  oracles.greedy_round_by_hand(scores))
+        draws = [rng.standard_normal((5, 5)) for _ in range(50)]
+        # Integer draws tie often. The scan's order fits one chunk at n 63
+        # and 64 and takes two at 65 and three at 129, whose scan reads past
+        # the first; chunks of one row split every draw.
+        draws += [rng.integers(0, 10, (n, n)).astype(float) for n in (63, 64, 65, 129)]
+        expected = [oracles.greedy_round_by_hand(scores) for scores in draws]
+        for chunk_rows in (rounding._GREEDY_CHUNK_ROWS, 1):
+            monkeypatch.setattr(rounding, "_GREEDY_CHUNK_ROWS", chunk_rows)
+            for scores, mapping in zip(draws, expected):
+                assert np.array_equal(greedy_round(scores).map, mapping)
 
     def test_rejects_infinity(self):
         scores = np.ones((2, 2))
